@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 when a verification-style command finds a
 mismatch, 2 on usage errors.  CSV output is byte-stable so the files written
-by ``seed-tables`` can be compared verbatim in CI.
+by ``seed-tables`` can be compared verbatim with ``nsg table``.
 """
 
 from __future__ import annotations

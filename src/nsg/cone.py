@@ -15,7 +15,8 @@ Translating the vertex to the origin gives the homogeneous system
 x_i + x_j >= x_{(i+j) mod p} (i + j != p).  That recession cone lives in the
 nonnegative orthant and each of its one-dimensional faces carries a primitive
 integer generator; those generators control quasi-periods of the lattice
-point counting functions along rational directions.
+point counting functions along rational directions.  They are found by the
+double description method in integer arithmetic, for p <= 10 (MAX_EDGE_P).
 
 The module also builds the affine loci that carry pseudo-symmetric
 semigroups: for suitable permutations of the coordinates, a system of
@@ -28,9 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
-
-from . import linalg
+from itertools import permutations, product
 
 
 class DimensionMismatch(ValueError):
@@ -41,7 +40,7 @@ class UnsupportedP(ValueError):
     """Edge enumeration is only configured for small p."""
 
 
-MAX_EDGE_P = 7
+MAX_EDGE_P = 10
 
 
 @dataclass(frozen=True)
@@ -161,13 +160,48 @@ def _star_normals(p: int) -> list[tuple[int, ...]]:
     return normals
 
 
-def _primitive(vec) -> tuple[int, ...] | None:
-    denom = math.lcm(*(f.denominator for f in vec))
-    ints = [int(f * denom) for f in vec]
-    g = math.gcd(*ints)
-    if g == 0:
-        return None
-    return tuple(v // g for v in ints)
+def _reduced(vec) -> tuple[int, ...]:
+    g = math.gcd(*vec)
+    return tuple(v // g for v in vec)
+
+
+def _simplicial_start(normals):
+    """Indices of n independent normals B and the primitive columns of B^-1.
+
+    Greedy integer elimination picks the basis; fraction-free Gauss-Jordan
+    on [B | I] then leaves a diagonal D on the left and D B^-1 on the right,
+    so column c of B^-1 is a positive multiple of (right[r][c] * lcm / d_r)_r.
+    """
+    n = len(normals[0])
+    basis, echelon = [], []  # echelon: (pivot column, row) in insertion order
+    for idx, row in enumerate(normals):
+        row = list(row)
+        for col, piv in echelon:
+            if row[col]:
+                row = [piv[col] * a - row[col] * b for a, b in zip(row, piv)]
+        col = next((c for c, v in enumerate(row) if v), None)
+        if col is not None:
+            basis.append(idx)
+            echelon.append((col, row))
+            if len(basis) == n:
+                break
+    m = [
+        list(normals[b]) + [int(r == c) for c in range(n)]
+        for r, b in enumerate(basis)
+    ]
+    for c in range(n):
+        r = next(r for r in range(c, n) if m[r][c])
+        m[c], m[r] = m[r], m[c]
+        for r in range(n):
+            if r != c and m[r][c]:
+                row = [m[c][c] * a - m[r][c] * b for a, b in zip(m[r], m[c])]
+                m[r] = list(_reduced(row))
+    scale = math.lcm(*(m[r][r] for r in range(n)))
+    rays = [
+        _reduced([m[r][n + c] * (scale // m[r][r]) for r in range(n)])
+        for c in range(n)
+    ]
+    return basis, rays
 
 
 @dataclass(frozen=True)
@@ -183,56 +217,74 @@ class EdgeSet:
                 raise ValueError(f"ray {ray} is not primitive")
 
     def cone_contains(self, x) -> bool:
-        """Whether x lies in the rational cone nonnegatively spanned by the rays.
+        """Whether x lies in the recession cone, the nonnegative span of the rays.
 
-        Uses the Carathéodory decomposition: membership is certified by some
-        linearly independent subset of at most dim-many rays.
+        The rays generate exactly the cone cut out by the star inequalities,
+        so membership is the inequality check.
         """
-        x = tuple(Fraction(v) for v in x)
+        x = tuple(x)
         if len(x) != self.p - 1:
             raise DimensionMismatch(
                 f"expected {self.p - 1} coordinates, got {len(x)}"
             )
-        if all(v == 0 for v in x):
-            return True
-        dim = self.p - 1
-        for size in range(1, min(dim, len(self.rays)) + 1):
-            for subset in combinations(self.rays, size):
-                if linalg.rank(subset) < size:
-                    continue
-                columns = [[Fraction(ray[c]) for ray in subset] for c in range(dim)]
-                coeffs = linalg.solve(columns, x)
-                if coeffs is not None and all(c >= 0 for c in coeffs):
-                    return True
-        return False
+        return all(
+            x[i - 1] + x[j - 1] >= x[k - 1] for i, j, k in star_inequalities(self.p)
+        )
 
 
 @lru_cache(maxsize=None)
 def edges_of_cone_star(p: int) -> EdgeSet:
-    """All edge generators, by exact active-set search over facet subsets.
+    """All edge generators, by the double description method in integers.
 
-    Every candidate comes from a rank p-2 subset of inequality normals with a
-    one-dimensional kernel; it is kept when some primitive representative
-    satisfies the full system.  The active set of a surviving ray then has
-    rank exactly p-2, so the minimal face containing it is an edge.
+    The loop starts from p-1 independent star normals, whose simplicial cone
+    has the columns of the inverse matrix as rays, and adds the remaining
+    inequalities one at a time.  Each ray carries its zero set, the
+    inequalities added so far that vanish on it, as a bit mask.  A new
+    inequality keeps the rays it does not cut off and joins each pair of
+    rays on opposite sides that is adjacent: their common zero set has at
+    least p-3 members and lies in no third ray's zero set.  The joined ray
+    is gcd-reduced.  Every returned ray is therefore primitive, satisfies
+    the whole system, and has an active set of rank exactly p-2, so the
+    minimal face containing it is an edge.
     """
     if p < 3:
         raise ValueError("p must be at least 3")
     if p > MAX_EDGE_P:
         raise UnsupportedP(f"edge enumeration is configured for p <= {MAX_EDGE_P}")
     normals = _star_normals(p)
-    rays = set()
-    for subset in combinations(normals, p - 2):
-        kernel = linalg.kernel_basis(list(subset))
-        if len(kernel) != 1:
+    basis, start = _simplicial_start(normals)
+    full = sum(1 << b for b in basis)
+    rays = [(ray, full & ~(1 << b)) for ray, b in zip(start, basis)]
+    need = p - 3  # shared zeros of two adjacent rays
+    for k, normal in enumerate(normals):
+        if (full >> k) & 1:
             continue
-        base = _primitive(kernel[0])
-        if base is None:
-            continue
-        for cand in (base, tuple(-v for v in base)):
-            if all(sum(n * c for n, c in zip(normal, cand)) >= 0 for normal in normals):
-                rays.add(cand)
-    return EdgeSet(p, tuple(sorted(rays)))
+        bit = 1 << k
+        pos, neg, kept = [], [], []
+        for ray, zeros in rays:
+            d = sum(a * x for a, x in zip(normal, ray))
+            if d > 0:
+                pos.append((ray, zeros, d))
+                kept.append((ray, zeros))
+            elif d < 0:
+                neg.append((ray, zeros, d))
+            else:
+                kept.append((ray, zeros | bit))
+        for ray_p, zeros_p, d_p in pos:
+            for ray_n, zeros_n, d_n in neg:
+                common = zeros_p & zeros_n
+                if common.bit_count() < need:
+                    continue
+                if any(
+                    zeros & common == common and zeros not in (zeros_p, zeros_n)
+                    for _, zeros in rays
+                ):
+                    continue
+                joined = [d_p * b - d_n * a for a, b in zip(ray_p, ray_n)]
+                kept.append((_reduced(joined), common | bit))
+        rays = kept
+        full |= bit
+    return EdgeSet(p, tuple(sorted(ray for ray, _ in rays)))
 
 
 # ---------------------------------------------------------------------------

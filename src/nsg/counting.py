@@ -15,6 +15,7 @@ instead of being iterated.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -162,11 +163,19 @@ def _count_task(task):
 
 
 def _counted(p, caps, target, class_filter, workers):
-    if workers <= 1:
-        return _count_task((p, caps, target, class_filter, None))
+    """Count serially, or split at the first coordinate over a bounded pool.
+
+    The pool never has more processes than CPUs or tasks; when that leaves
+    one process, the count runs in this one.
+    """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     top = caps[0] if target is None else min(caps[0], target)
+    size = min(workers, os.cpu_count() or 1, top + 1)
+    if size == 1:
+        return _count_task((p, caps, target, class_filter, None))
     tasks = [(p, caps, target, class_filter, f) for f in range(top + 1)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=size) as pool:
         return sum(pool.map(_count_task, tasks))
 
 

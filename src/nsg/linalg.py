@@ -36,28 +36,6 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return m[:r], pivots
 
 
-def rank(rows) -> int:
-    return len(rref([list(r) for r in rows])[0])
-
-
-def kernel_basis(rows) -> list[tuple[Fraction, ...]]:
-    """Basis of the right null space of the matrix given by ``rows``."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        raise ValueError("kernel of an empty matrix is ambiguous")
-    ncols = len(rows[0])
-    echelon, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -echelon[r][fc]
-        basis.append(tuple(v))
-    return basis
-
-
 def solve(rows, rhs) -> tuple[Fraction, ...] | None:
     """One exact solution of rows @ x = rhs, or None if the system is inconsistent.
 

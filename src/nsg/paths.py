@@ -198,53 +198,71 @@ def _iter_admissible_heights(system: PathSystem, h0_max=None):
     ncols = len(caps)
     heights: list[int] = []
     pending: dict[int, int] = {}
-
-    def rec(c, prev):
-        if c >= 1 and not pending:
-            yield tuple(heights)  # ending the path here satisfies every demand
-        if c >= ncols:
+    # One frame per column being filled, kept on an explicit stack so that
+    # long triangles do not hit the interpreter's recursion limit: the next
+    # height to try, the top height, the demand the column owed on entry,
+    # and the pending changes made by the height under trial.
+    frames: list[list] = []
+    entering = True
+    while True:
+        if entering:
+            entering = False
+            c = len(heights)
+            if c >= 1 and not pending:
+                yield tuple(heights)  # ending the path here satisfies every demand
+            if c < ncols:
+                hi = min(heights[-1] if heights else max(caps), caps[c])
+                if c == 0 and h0_max is not None:
+                    hi = min(hi, h0_max)
+                # Heights never increase, so every outstanding demand (this
+                # column or any later one) bounds the current height from below.
+                lo = max(max(pending.values(), default=0), 1)
+                if lo <= hi:
+                    frames.append([lo, hi, pending.pop(c, None), []])
+        if not frames:
             return
-        hi = min(prev, caps[c])
-        if c == 0 and h0_max is not None:
-            hi = min(hi, h0_max)
-        # Heights never increase, so every outstanding demand (this column or
-        # any later one) bounds the current height from below.
-        lo = max(pending.values(), default=0)
-        if max(lo, 1) > hi:
-            return
-        demand_here = pending.pop(c, None)
-        for h in range(max(lo, 1), hi + 1):
-            recorded = []
-            ok = True
-            for a in range(c + 1):
-                ha = heights[a] if a < c else h
-                if a + c >= q - 1:
-                    # Required point sits in an already fixed column.
-                    if heights[a + c - q + 1] < ha + h:
-                        ok = False
-                        break
-                if ha + h >= p + 1:
-                    u = a + c + 1
-                    need = ha + h - p
-                    if need > h or u >= ncols or caps[u] < need:
-                        ok = False
-                        break
-                    if pending.get(u, 0) < need:
-                        recorded.append((u, pending.get(u)))
-                        pending[u] = need
-            if ok:
-                heights.append(h)
-                yield from rec(c + 1, h)
-                heights.pop()
-            for u, old in reversed(recorded):
-                if old is None:
-                    del pending[u]
-                else:
-                    pending[u] = old
-        if demand_here is not None:
-            pending[c] = demand_here
-
-    yield from rec(0, max(caps, default=0))
+        frame = frames[-1]
+        c = len(frames) - 1
+        del heights[c:]
+        recorded = frame[3]
+        for u, old in reversed(recorded):
+            if old is None:
+                del pending[u]
+            else:
+                pending[u] = old
+        recorded.clear()
+        h = frame[0]
+        if h > frame[1]:
+            frames.pop()
+            if frame[2] is not None:
+                pending[c] = frame[2]
+            continue
+        frame[0] = h + 1
+        ok = True
+        # Pairs whose required point sits in an already fixed column: only
+        # earlier columns a with a + c >= q - 1.
+        for a in range(max(q - 1 - c, 0), c + 1):
+            ha = heights[a] if a < c else h
+            if heights[a + c - q + 1] < ha + h:
+                ok = False
+                break
+        # Pairs that demand a later column: heights never increase, so these
+        # are the columns a up to the first with heights[a] + h <= p.
+        for a in range(c + 1) if ok else ():
+            ha = heights[a] if a < c else h
+            if ha + h <= p:
+                break
+            u = a + c + 1
+            need = ha + h - p
+            if need > h or u >= ncols or caps[u] < need:
+                ok = False
+                break
+            if pending.get(u, 0) < need:
+                recorded.append((u, pending.get(u)))
+                pending[u] = need
+        if ok:
+            heights.append(h)
+            entering = True
 
 
 def count_admissible(system: PathSystem) -> int:

@@ -1,14 +1,16 @@
 """Independent brute-force oracles used to cross-check the library.
 
-Everything here works from first principles on explicit membership tables or
-gap sets, sharing no code path with the structures under test.
+Everything here works from first principles on explicit membership tables,
+gap sets or exhaustive subsets of cone inequalities and rays, sharing no code
+path with the structures under test.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
-from itertools import product
+from fractions import Fraction
+from functools import lru_cache, reduce
+from itertools import combinations, product
 
 
 def sieve_members(gens, bound: int) -> list[bool]:
@@ -159,3 +161,123 @@ def brute_containing_gapsets(p: int, q: int) -> list[frozenset]:
         if is_gapset_of_semigroup(gaps):
             out.append(gaps)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Recession cone x_i + x_j >= x_{(i+j) mod p}: exact rational linear algebra.
+
+
+def star_normals(p: int) -> list[tuple[int, ...]]:
+    """Normals of x_i + x_j - x_{(i+j) mod p} >= 0 over i <= j, p not dividing i + j."""
+    normals = []
+    for i in range(1, p):
+        for j in range(i, p):
+            k = (i + j) % p
+            if k == 0:
+                continue
+            v = [0] * (p - 1)
+            v[i - 1] += 1
+            v[j - 1] += 1
+            v[k - 1] -= 1
+            normals.append(tuple(v))
+    return normals
+
+
+def _rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [v / m[r][col] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+    return m[:r], pivots
+
+
+def rank(rows) -> int:
+    return len(_rref(rows)[1])
+
+
+def _kernel(rows) -> list[list[Fraction]]:
+    ncols = len(rows[0])
+    echelon, pivots = _rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -echelon[r][fc]
+        basis.append(v)
+    return basis
+
+
+def subset_search_edges(p: int) -> tuple[tuple[int, ...], ...]:
+    """Edge generators of the recession cone, sorted, by trying every facet subset.
+
+    Each (p-2)-subset of normals with a one-dimensional kernel gives a line;
+    a primitive direction on it is an edge when it satisfies every
+    inequality.  There are C(m, p-2) subsets for m normals: 8,568 at p = 7.
+    """
+    normals = star_normals(p)
+    rays = set()
+    for subset in combinations(normals, p - 2):
+        kernel = _kernel(subset)
+        if len(kernel) != 1:
+            continue
+        denom = math.lcm(*(f.denominator for f in kernel[0]))
+        ints = [int(f * denom) for f in kernel[0]]
+        g = math.gcd(*ints)
+        base = tuple(v // g for v in ints)
+        for cand in (base, tuple(-v for v in base)):
+            if all(sum(n * c for n, c in zip(normal, cand)) >= 0 for normal in normals):
+                rays.add(cand)
+    return tuple(sorted(rays))
+
+
+@lru_cache(maxsize=None)
+def _ray_bases(rays) -> list[list[list[int]]]:
+    """Inverses of all square matrices whose columns are independent rays.
+
+    Each row is scaled by a positive integer, which keeps the signs of the
+    coefficients it computes.
+    """
+    dim = len(rays[0])
+    inverses = []
+    for subset in combinations(rays, dim):
+        augmented = [
+            [ray[c] for ray in subset] + [int(r == c) for r in range(dim)]
+            for c in range(dim)
+        ]
+        echelon, pivots = _rref(augmented)
+        if pivots[:dim] == list(range(dim)):
+            inverse = []
+            for row in echelon:
+                scale = math.lcm(*(f.denominator for f in row[dim:]))
+                inverse.append([int(f * scale) for f in row[dim:]])
+            inverses.append(inverse)
+    return inverses
+
+
+def ray_span_contains(rays, x) -> bool:
+    """Whether x is a nonnegative rational combination of the rays.
+
+    Carathéodory: if it is, some linearly independent subset of the rays
+    already certifies it, and that subset extends to a basis of rays when
+    the rays span the space.  So x is tried against every basis of rays.
+    """
+    rays = tuple(tuple(ray) for ray in rays)
+    x = tuple(x)
+    if rank(rays) < len(x):
+        raise ValueError("the rays must span the space")
+    return any(
+        all(sum(a * v for a, v in zip(row, x)) >= 0 for row in inverse)
+        for inverse in _ray_bases(rays)
+    )

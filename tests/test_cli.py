@@ -4,6 +4,7 @@ import os
 import pytest
 
 from nsg import cli
+from nsg.closed_forms import containing_count_3
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +84,25 @@ def test_paths_count_and_list(capsys):
     code, out, _ = run_cli(capsys, "paths", "--p", "3", "--q", "4", "--list")
     assert code == 0
     assert len(out.strip().splitlines()) == 4  # header + three paths
+
+
+@pytest.mark.parametrize(
+    "p,q,expected",
+    [(2, 2001, (2001 - 1) // 2), (3, 1601, containing_count_3(1601) - 1)],
+)
+def test_paths_long_triangle_has_no_recursion_limit(capsys, p, q, expected):
+    # about 2q/3 columns at p = 3: deeper than the default recursion limit
+    code, out, err = run_cli(capsys, "paths", "--p", str(p), "--q", str(q))
+    assert code == 0, err
+    assert out.strip().splitlines()[-1] == f"{p},{q},{expected}"
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_usage_error(capsys, workers):
+    code, out, err = run_cli(capsys, "count", "--p", "3", "--genus", "4", "--workers", workers)
+    assert code == 2
+    assert out == ""
+    assert "workers must be at least 1" in err
 
 
 def test_paths_verify_recursions(capsys):

@@ -18,7 +18,7 @@ from nsg import (
 )
 from nsg.cone import interior_shift_witness, star_inequalities
 from nsg.counting import _iter_points
-from nsg.linalg import rank
+from oracles import rank
 
 
 def test_build_cone_p3():
@@ -72,12 +72,42 @@ def test_edges_rejects_large_p():
         edges_of_cone_star(11)
 
 
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_edges_match_subset_search(p):
+    assert edges_of_cone_star(p).rays == oracles.subset_search_edges(p)
+
+
+# The 30 rays of ``nsg edges --p 7``, as the subset search found them.
+EDGES_P7 = (
+    (1, 2, 3, 4, 5, 6), (2, 4, 6, 1, 3, 5), (2, 4, 6, 8, 3, 5), (2, 4, 6, 8, 10, 5),
+    (3, 6, 2, 5, 1, 4), (3, 6, 2, 5, 8, 4), (3, 6, 9, 5, 8, 4), (3, 6, 9, 12, 8, 4),
+    (4, 1, 5, 2, 6, 3), (4, 8, 5, 2, 6, 3), (4, 8, 5, 2, 6, 10), (4, 8, 5, 9, 6, 3),
+    (4, 8, 12, 9, 6, 3), (5, 3, 1, 6, 4, 2), (5, 3, 8, 6, 4, 2), (5, 3, 8, 6, 4, 9),
+    (5, 10, 8, 6, 4, 2), (6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 8), (6, 5, 4, 3, 9, 8),
+    (6, 5, 4, 10, 2, 8), (6, 12, 4, 3, 9, 8), (8, 2, 3, 4, 5, 6), (8, 2, 10, 4, 5, 6),
+    (8, 9, 3, 4, 5, 6), (8, 9, 3, 4, 12, 6), (9, 4, 6, 8, 3, 5), (9, 4, 6, 8, 3, 12),
+    (10, 6, 2, 5, 8, 4), (12, 3, 8, 6, 4, 9),
+)
+
+
+def test_edges_p7_pinned():
+    assert len(EDGES_P7) == 30
+    assert edges_of_cone_star(7).rays == EDGES_P7
+
+
+@pytest.mark.parametrize("p,count", [(8, 47), (9, 122), (10, 225)])
+def test_edge_counts_beyond_seven(p, count):
+    # 47 at p = 8 matches a one-off run of oracles.subset_search_edges(8);
+    # with test_edges_rejects_large_p this pins the supported range p <= 10.
+    assert len(edges_of_cone_star(p).rays) == count
+
+
 def _star_value(p, ray, ineq):
     i, j, k = ineq
     return ray[i - 1] + ray[j - 1] - ray[k - 1]
 
 
-@pytest.mark.parametrize("p", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("p", [3, 4, 5, 6, 7, 8, 9])
 def test_edges_are_primitive_boundary_rays(p):
     import math
 
@@ -113,11 +143,20 @@ def test_nonnegative_ray_combinations_stay_in_star_cone(p):
 
 @pytest.mark.parametrize("p", [3, 4, 5])
 def test_small_star_points_lie_in_ray_span(p):
+    # The rays are complete: every star point is a nonnegative combination
+    # of them.  cone_contains checks the inequalities instead of the span,
+    # so it must agree with the span oracle, outside the cone as well.
     edges = edges_of_cone_star(p)
     ineqs = star_inequalities(p)
+    outside = 0
     for x in product(range(5), repeat=p - 1):
+        in_span = oracles.ray_span_contains(edges.rays, x)
         if all(_star_value(p, x, ineq) >= 0 for ineq in ineqs):
-            assert edges.cone_contains(x)
+            assert in_span
+        else:
+            outside += 1
+        assert edges.cone_contains(x) == in_span
+    assert outside > 0
 
 
 def test_star_cone_contained_in_cone():

@@ -14,6 +14,7 @@ from nsg import (
     verify_interior_identity,
     verify_medim_identity,
 )
+from nsg import counting
 from nsg.counting import containment_caps
 
 
@@ -163,6 +164,58 @@ def test_workers_do_not_change_counts():
     assert count_by_genus(4, 9, workers=2) == count_by_genus(4, 9)
     assert count_containing(3, 13, workers=2) == count_containing(3, 13)
     assert count_containing(4, 11, "sym", workers=2) == count_containing(4, 11, "sym")
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size, maps in-process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def _stub_pool(monkeypatch, sizes, cpus):
+    monkeypatch.setattr(
+        counting, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(sizes, max_workers)
+    )
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: cpus)
+
+
+@pytest.mark.parametrize(
+    "requested,cpus,pools",
+    [(2, 2, [2]), (1000, 2, [2]), (1000, 64, [10]), (3, 64, [3]), (4, 1, []), (4, None, [])],
+)
+def test_pool_size_is_clamped(monkeypatch, requested, cpus, pools):
+    # count_by_genus(4, 9) splits into 10 tasks, one per first coordinate 0..9
+    sizes = []
+    _stub_pool(monkeypatch, sizes, cpus)
+    assert count_by_genus(4, 9, workers=requested) == count_by_genus(4, 9) == 12
+    assert sizes == pools
+
+
+def test_two_workers_over_six_tasks_keep_two_processes(monkeypatch):
+    # containment_caps(3, 16)[0] == 5: six tasks, as in the benchmark's range
+    sizes = []
+    _stub_pool(monkeypatch, sizes, 2)
+    assert containment_caps(3, 16)[0] == 5
+    assert count_containing(3, 16, workers=2) == count_containing(3, 16)
+    assert sizes == [2]
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_rejected(workers):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        count_by_genus(4, 5, workers=workers)
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        count_containing(3, 7, workers=workers)
 
 
 def test_count_table_validation():
