@@ -34,6 +34,7 @@ from .counting import (
     enumerate_by_genus,
     genus_count_series,
     genus_table,
+    genus_window,
     verify_interior_identity,
     verify_medim_identity,
 )

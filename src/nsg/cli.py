@@ -23,10 +23,10 @@ _CONTAINS_Q = {"contains-p3": (3, (1, 2, 4, 5, 7, 8, 10, 11, 13, 14)),
 
 
 def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("NSG_WORKERS", "1")))
-    except ValueError:
-        return 1
+    text = os.environ.get("NSG_WORKERS", "1")
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ValueError(f"NSG_WORKERS must be an integer of at least 1, not {text!r}")
+    return int(text)
 
 
 def _parse_range(text: str) -> range:
@@ -55,13 +55,13 @@ def _emit(args, columns, rows, preamble=()):
 
 
 def _cmd_count(args) -> int:
-    workers = args.workers
+    workers = args.workers if args.workers is not None else _default_workers()
     rows = []
     if args.genus is not None:
-        for g in _parse_range(args.genus):
-            rows.append(
-                (args.p, g, args.cls, counting.count_by_genus(args.p, g, args.cls, workers))
-            )
+        genera = _parse_range(args.genus)
+        if genera:
+            counts = counting.genus_window(args.p, genera[0], genera[-1], args.cls, workers)
+            rows = [(args.p, g, args.cls, n) for g, n in zip(genera, counts)]
         columns = ("p", "genus", "class", "count")
     else:
         qs = _parse_range(args.contains)
@@ -308,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--class", dest="cls", choices=CLASS_FILTERS, default="all"
             )
         if with_workers:
-            sp.add_argument("--workers", type=int, default=_default_workers())
+            sp.add_argument("--workers", type=int)
 
     sp = sub.add_parser("count", help="count semigroups by genus or by containment")
     sp.add_argument("--p", type=int, required=True)

@@ -91,6 +91,14 @@ class Semigroup:
         if not build_cone(self.p).contains(self.mu):
             raise ValueError(f"mu={self.mu} violates the coordinate inequalities")
 
+    @classmethod
+    def _trusted(cls, p: int, mu: tuple[int, ...]) -> "Semigroup":
+        """Instance for a mu already known to lie in the cone, unchecked."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "p", p)
+        object.__setattr__(s, "mu", mu)
+        return s
+
     def apery_elements(self) -> tuple[int, ...]:
         """Least semigroup element of each nonzero residue class modulo p."""
         return _apery_elements(self.p, self.mu)

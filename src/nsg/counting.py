@@ -7,9 +7,12 @@ semigroup itself, whose class minima dominate those of every supersemigroup).
 
 The walk assigns coordinates in index order.  Every inequality becomes an
 interval constraint on its highest-index coordinate once the lower ones are
-fixed, so each search node scans exactly the feasible range; with the
-'all'/'medim' filters the innermost coordinate is counted as a closed range
-instead of being iterated.
+fixed, so each search node scans the feasible range.  The last two
+coordinates are resolved together: once the others are fixed, the bounds on
+the last one are affine in the one before it, so that one is looped over
+inline and the last is a closed range.  With the 'all'/'medim' filters that
+range is added to a difference array over sums instead of being iterated, so
+a whole genus window is counted in one walk; 'sym'/'psym' test each point.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from . import core
 from .cone import build_cone
@@ -65,11 +69,17 @@ def _depth_rules(p: int, strict: bool):
     )
 
 
-def _bounds(d, mu, total, caps, rules, cap_total):
+def _bounds(d, mu, total, caps, rules, low, high):
+    """Range of x_d given x_1..x_{d-1}, for points with sums in low..high."""
     hi = caps[d - 1]
-    if cap_total is not None and cap_total - total < hi:
-        hi = cap_total - total
+    if high - total < hi:
+        hi = high - total
     lo = 0
+    if d > 1:
+        # x_{d+j} <= x_d + j * x_1 (from x_1 + x_{d+j-1} >= x_{d+j}) bounds
+        # the sum the prefix can still reach; raise lo until it reaches low.
+        rest = len(mu) - d
+        lo = max(0, -((total + mu[0] * rest * (rest + 1) // 2 - low) // (rest + 1)))
     uppers, singles, lowers = rules[d]
     for i, j, c in uppers:
         v = mu[i - 1] + mu[j - 1] - c
@@ -86,60 +96,77 @@ def _bounds(d, mu, total, caps, rules, cap_total):
     return lo, hi
 
 
-def _iter_points(p, caps, *, target=None, max_total=None, strict=False, first=None):
-    """Yield coordinate vectors in lexicographic order.
+def _walk(p, caps, min_total=0, max_total=None, strict=False, first=None, diff=None):
+    """Walk the lattice points under caps in the cone, or its interior if strict.
 
-    target fixes the exact coordinate sum; max_total only bounds it.  first
-    restricts the leading coordinate (used to split work across processes).
+    Only points whose sum lies in min_total..max_total are visited; first
+    fixes x_1, to split work across processes.  Without diff, yield each
+    point in lexicographic order.  With diff, yield nothing and add each run
+    of points with one prefix to the difference array diff, whose index 0
+    stands for the sum min_total.
+
+    Coordinates x_1..x_{n-2} (n = p - 1) are walked depth first, each over
+    the range _bounds gives.  Once they are fixed, every bound on x_n is
+    affine in x = x_{n-1}, or half of it:
+        x_n <= min(A, x + B, 2x + C, K - x)
+        x_n >= max(D, F - x, ceil((x + G) / 2))
+    so the coefficients are worked out once and x is looped over inline.
     """
+    low, high = min_total, sum(caps) if max_total is None else max_total
     rules = _depth_rules(p, strict)
     n = p - 1
+    m = n - 1
     mu = [0] * n
-    cap_total = target if target is not None else max_total
+    # Sort the rules of x_n by how x enters them.  The one single is
+    # 2 x_n >= x + G (2n mod p = n - 1), and a lower bound
+    # x_i + x_n >= x_k + c has k = i - 1, so x enters it only as x_i.
+    uppers, [(_, G)], lowers = rules[n]
+    up = ([], [], [])  # by the slope of x: 0, 1, 2
+    for i, j, c in uppers:
+        up[(i == m) + (j == m)].append((i, j, c))
+    flat = [(i, k, c) for i, k, c in lowers if i != m]
+    falling = [(k, c) for i, k, c in lowers if i == m]
+    far = high + 1  # an absent bound: x + far and 2x + far exceed K - x
 
     def rec(d, total):
-        lo, hi = _bounds(d, mu, total, caps, rules, cap_total)
+        lo, hi = _bounds(d, mu, total, caps, rules, low, high)
         if d == 1 and first is not None:
             lo, hi = max(lo, first), min(hi, first)
-        if d == n:
-            if target is not None:
-                v = target - total
-                if lo <= v <= hi:
-                    mu[-1] = v
-                    yield tuple(mu)
-                return
+        if d < m:
             for v in range(lo, hi + 1):
-                mu[-1] = v
-                yield tuple(mu)
+                mu[d - 1] = v
+                yield from rec(d + 1, total + v)
             return
-        for v in range(lo, hi + 1):
-            mu[d - 1] = v
-            yield from rec(d + 1, total + v)
+        if lo > hi:
+            return
+        mu[m - 1] = 0  # so that each coefficient below reads x as 0
+        A = min([caps[n - 1]] + [mu[i - 1] + mu[j - 1] - c for i, j, c in up[0]])
+        B = min([far] + [mu[i - 1] + mu[j - 1] - c for i, j, c in up[1]])
+        C = min([far] + [mu[i - 1] + mu[j - 1] - c for i, j, c in up[2]])
+        D = max([0] + [mu[k - 1] + c - mu[i - 1] for i, k, c in flat])
+        F = max([low - total] + [mu[k - 1] + c for k, c in falling])
+        K = high - total
+        # x + x_n <= K fails past this, since x_n >= D and 2 x_n >= x + G.
+        for x in range(lo, min(hi, K - D, (2 * K - G) // 3) + 1):
+            top = A if A < x + B else x + B
+            if 2 * x + C < top:
+                top = 2 * x + C
+            if K - x < top:
+                top = K - x
+            bottom = D if D > F - x else F - x
+            if (x + G + 1) // 2 > bottom:
+                bottom = (x + G + 1) // 2
+            if bottom > top:
+                continue
+            if diff is not None:
+                diff[total - low + x + bottom] += 1
+                diff[total - low + x + top + 1] -= 1
+                continue
+            mu[m - 1] = x
+            for mu[n - 1] in range(bottom, top + 1):
+                yield tuple(mu)
 
     yield from rec(1, 0)
-
-
-def _count_points(p, caps, *, target=None, strict=False, first=None):
-    """Count instead of yielding; the innermost coordinate is a closed range."""
-    rules = _depth_rules(p, strict)
-    n = p - 1
-    mu = [0] * n
-
-    def rec(d, total):
-        lo, hi = _bounds(d, mu, total, caps, rules, target)
-        if d == 1 and first is not None:
-            lo, hi = max(lo, first), min(hi, first)
-        if d == n:
-            if target is not None:
-                return 1 if lo <= target - total <= hi else 0
-            return hi - lo + 1 if hi >= lo else 0
-        count = 0
-        for v in range(lo, hi + 1):
-            mu[d - 1] = v
-            count += rec(d + 1, total + v)
-        return count
-
-    return rec(1, 0)
 
 
 def _class_predicate(class_filter):
@@ -151,32 +178,40 @@ def _class_predicate(class_filter):
 
 
 def _count_task(task):
-    p, caps, target, class_filter, first = task
+    """Counts of the points of one walk with each sum low..high."""
+    p, caps, low, high, class_filter, first = task
     if class_filter in ("all", "medim"):
-        return _count_points(
-            p, caps, target=target, strict=class_filter == "medim", first=first
-        )
+        diff = [0] * (high - low + 2)
+        for _ in _walk(p, caps, low, high, class_filter == "medim", first, diff):
+            pass  # with diff the walk yields nothing and only fills it
+        return list(accumulate(diff[:-1]))
     pred = _class_predicate(class_filter)
-    return sum(
-        1 for mu in _iter_points(p, caps, target=target, first=first) if pred(p, mu)
-    )
+    out = [0] * (high - low + 1)
+    for mu in _walk(p, caps, low, high, first=first):
+        if pred(p, mu):
+            out[sum(mu) - low] += 1
+    return out
 
 
-def _counted(p, caps, target, class_filter, workers):
-    """Count serially, or split at the first coordinate over a bounded pool.
+def _counted(p, caps, low, high, class_filter, workers):
+    """Counts for each sum low..high, serially or split at the first coordinate.
 
     The pool never has more processes than CPUs or tasks; when that leaves
     one process, the count runs in this one.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    top = caps[0] if target is None else min(caps[0], target)
+    top = min(caps[0], high)
     size = min(workers, os.cpu_count() or 1, top + 1)
     if size == 1:
-        return _count_task((p, caps, target, class_filter, None))
-    tasks = [(p, caps, target, class_filter, f) for f in range(top + 1)]
+        return _count_task((p, caps, low, high, class_filter, None))
+    tasks = [(p, caps, low, high, class_filter, f) for f in range(top + 1)]
+    counts = [0] * (high - low + 1)
     with ProcessPoolExecutor(max_workers=size) as pool:
-        return sum(pool.map(_count_task, tasks))
+        # Add the parts up as they arrive, so that few are held at once.
+        for part in pool.map(_count_task, tasks):
+            counts = [a + b for a, b in zip(counts, part)]
+    return counts
 
 
 def enumerate_by_genus(p: int, genus: int, class_filter: str = "all"):
@@ -185,25 +220,27 @@ def enumerate_by_genus(p: int, genus: int, class_filter: str = "all"):
     if genus < 0:
         raise ValueError("genus must be nonnegative")
     caps = (genus,) * (p - 1)
-    out = []
-    for mu in _iter_points(p, caps, target=genus):
-        s = core.Semigroup(p, mu)
-        if class_filter == "sym" and not s.is_symmetric():
-            continue
-        if class_filter == "psym" and not s.is_pseudo_symmetric():
-            continue
-        if class_filter == "medim" and not build_cone(p).strictly_contains(mu):
-            continue
-        out.append(s)
-    return out
+    mus = _walk(p, caps, genus, genus, strict=class_filter == "medim")
+    if class_filter in ("sym", "psym"):
+        pred = _class_predicate(class_filter)
+        mus = (mu for mu in mus if pred(p, mu))
+    return [core.Semigroup._trusted(p, mu) for mu in mus]
+
+
+def genus_window(
+    p: int, low: int, high: int, class_filter: str = "all", workers: int = 1
+) -> list[int]:
+    """Counts for every genus low..high, from one walk of the cone."""
+    _check_args(p, class_filter)
+    if low < 0:
+        raise ValueError("genus must be nonnegative")
+    if high < low:
+        raise ValueError("genus window is empty")
+    return _counted(p, (high,) * (p - 1), low, high, class_filter, workers)
 
 
 def count_by_genus(p: int, genus: int, class_filter: str = "all", workers: int = 1) -> int:
-    _check_args(p, class_filter)
-    if genus < 0:
-        raise ValueError("genus must be nonnegative")
-    caps = (genus,) * (p - 1)
-    return _counted(p, caps, genus, class_filter, workers)
+    return genus_window(p, genus, genus, class_filter, workers)[0]
 
 
 def genus_count_series(p: int, g_max: int, class_filter: str = "all") -> list[int]:
@@ -211,46 +248,15 @@ def genus_count_series(p: int, g_max: int, class_filter: str = "all") -> list[in
     _check_args(p, class_filter)
     if g_max < 0:
         raise ValueError("g_max must be nonnegative")
-    caps = (g_max,) * (p - 1)
-    if class_filter in ("all", "medim"):
-        rules = _depth_rules(p, class_filter == "medim")
-        n = p - 1
-        mu = [0] * n
-        diff = [0] * (g_max + 2)
-
-        def rec(d, total):
-            lo, hi = _bounds(d, mu, total, caps, rules, g_max)
-            if d == n:
-                if hi >= lo:
-                    diff[total + lo] += 1
-                    diff[total + hi + 1] -= 1
-                return
-            for v in range(lo, hi + 1):
-                mu[d - 1] = v
-                rec(d + 1, total + v)
-
-        rec(1, 0)
-        out = []
-        running = 0
-        for g in range(g_max + 1):
-            running += diff[g]
-            out.append(running)
-        return out
-    pred = _class_predicate(class_filter)
-    out = [0] * (g_max + 1)
-    for mu in _iter_points(p, caps, max_total=g_max):
-        if pred(p, mu):
-            out[sum(mu)] += 1
-    return out
+    return genus_window(p, 0, g_max, class_filter)
 
 
 def cumulative_by_genus(p: int, genus: int) -> int:
     """Number of semigroups containing p with genus at most the given one."""
-    _check_args(p, "all")
     return sum(genus_count_series(p, genus))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # keyed by q, so a long sweep would grow it without end
 def containment_caps(p: int, q: int) -> tuple[int, ...]:
     """Coordinatewise caps for semigroups containing both p and q.
 
@@ -268,7 +274,7 @@ def count_containing(p: int, q: int, class_filter: str = "all", workers: int = 1
     """Number of semigroups containing both p and q, optionally filtered."""
     _check_args(p, class_filter)
     caps = containment_caps(p, q)
-    return _counted(p, caps, None, class_filter, workers)
+    return sum(_counted(p, caps, 0, sum(caps), class_filter, workers))
 
 
 def verify_interior_identity(p: int, g_max: int) -> bool:

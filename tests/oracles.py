@@ -281,3 +281,154 @@ def ray_span_contains(rays, x) -> bool:
         all(sum(a * v for a, v in zip(row, x)) >= 0 for row in inverse)
         for inverse in _ray_bases(rays)
     )
+
+
+# ---------------------------------------------------------------------------
+# Plain depth-first walks of the Apéry coordinate cone, one coordinate at a
+# time with every coordinate's range taken from its interval bounds.  They
+# are the reference for counting._walk, which resolves the last two
+# coordinates from affine bounds instead.
+
+
+def cone_inequalities(p: int) -> list[tuple[int, int, int, int]]:
+    """(i, j, k, c): x_i + x_j - x_k >= c, over i <= j with i + j != p."""
+    out = []
+    for i in range(1, p):
+        for j in range(i, p):
+            if i + j < p:
+                out.append((i, j, i + j, 0))
+            elif i + j > p:
+                out.append((i, j, i + j - p, -1))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _depth_rules(p: int, strict: bool):
+    """Interval constraints grouped by the coordinate that resolves them.
+
+    For coordinate d (1-based) with all earlier coordinates fixed:
+      uppers  (i, j, c):  x_d <= x_i + x_j - c          (the inequality's k is d)
+      singles (k, c):     x_d >= ceil((x_k + c) / 2)    (i == j == d)
+      lowers  (i, k, c):  x_d >= x_k + c - x_i          (j == d, i < d)
+    Strict mode shifts every c by one, which turns the system into its
+    interior version.
+    """
+    margin = 1 if strict else 0
+    uppers = [[] for _ in range(p)]
+    singles = [[] for _ in range(p)]
+    lowers = [[] for _ in range(p)]
+    for i, j, k, c in cone_inequalities(p):
+        d = max(i, j, k)
+        if k == d:
+            uppers[d].append((i, j, c + margin))
+        elif i == j:
+            singles[d].append((k, c + margin))
+        else:
+            lowers[d].append((i, k, c + margin))
+    return tuple(
+        (tuple(uppers[d]), tuple(singles[d]), tuple(lowers[d])) for d in range(p)
+    )
+
+
+def _bounds(d, mu, total, caps, rules, cap_total):
+    hi = caps[d - 1]
+    if cap_total is not None and cap_total - total < hi:
+        hi = cap_total - total
+    lo = 0
+    uppers, singles, lowers = rules[d]
+    for i, j, c in uppers:
+        v = mu[i - 1] + mu[j - 1] - c
+        if v < hi:
+            hi = v
+    for k, c in singles:
+        v = (mu[k - 1] + c + 1) // 2
+        if v > lo:
+            lo = v
+    for i, k, c in lowers:
+        v = mu[k - 1] + c - mu[i - 1]
+        if v > lo:
+            lo = v
+    return lo, hi
+
+
+def dfs_iter_points(p, caps, *, target=None, max_total=None, strict=False, first=None):
+    """Yield coordinate vectors in lexicographic order.
+
+    target fixes the exact coordinate sum; max_total only bounds it.  first
+    restricts the leading coordinate (used to split work across processes).
+    """
+    rules = _depth_rules(p, strict)
+    n = p - 1
+    mu = [0] * n
+    cap_total = target if target is not None else max_total
+
+    def rec(d, total):
+        lo, hi = _bounds(d, mu, total, caps, rules, cap_total)
+        if d == 1 and first is not None:
+            lo, hi = max(lo, first), min(hi, first)
+        if d == n:
+            if target is not None:
+                v = target - total
+                if lo <= v <= hi:
+                    mu[-1] = v
+                    yield tuple(mu)
+                return
+            for v in range(lo, hi + 1):
+                mu[-1] = v
+                yield tuple(mu)
+            return
+        for v in range(lo, hi + 1):
+            mu[d - 1] = v
+            yield from rec(d + 1, total + v)
+
+    yield from rec(1, 0)
+
+
+def dfs_count_points(p, caps, *, target=None, strict=False, first=None):
+    """Count instead of yielding; the innermost coordinate is a closed range."""
+    rules = _depth_rules(p, strict)
+    n = p - 1
+    mu = [0] * n
+
+    def rec(d, total):
+        lo, hi = _bounds(d, mu, total, caps, rules, target)
+        if d == 1 and first is not None:
+            lo, hi = max(lo, first), min(hi, first)
+        if d == n:
+            if target is not None:
+                return 1 if lo <= target - total <= hi else 0
+            return hi - lo + 1 if hi >= lo else 0
+        count = 0
+        for v in range(lo, hi + 1):
+            mu[d - 1] = v
+            count += rec(d + 1, total + v)
+        return count
+
+    return rec(1, 0)
+
+
+def dfs_sum_series(p, caps, g_max, strict=False):
+    """Number of points with each sum 0..g_max, from a difference array."""
+    rules = _depth_rules(p, strict)
+    n = p - 1
+    mu = [0] * n
+    diff = [0] * (g_max + 2)
+
+    def rec(d, total):
+        lo, hi = _bounds(d, mu, total, caps, rules, g_max)
+        if d == n:
+            if hi >= lo:
+                diff[total + lo] += 1
+                diff[total + hi + 1] -= 1
+            return
+        for v in range(lo, hi + 1):
+            mu[d - 1] = v
+            rec(d + 1, total + v)
+
+    rec(1, 0)
+    out = []
+    running = 0
+    for g in range(g_max + 1):
+        running += diff[g]
+        out.append(running)
+    return out

@@ -5,6 +5,7 @@ import pytest
 
 from nsg import cli
 from nsg.closed_forms import containing_count_3
+from nsg.counting import count_by_genus
 
 
 def run_cli(capsys, *argv):
@@ -194,7 +195,33 @@ def test_env_sets_default_worker_count(monkeypatch, capsys):
     assert cli._default_workers() == 2
     assert run_cli(capsys, "count", "--p", "3", "--contains", "10") == sequential
     monkeypatch.setenv("NSG_WORKERS", "banana")
-    assert cli._default_workers() == 1
+    with pytest.raises(ValueError, match="NSG_WORKERS"):
+        cli._default_workers()
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "abc"])
+def test_invalid_env_workers_is_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("NSG_WORKERS", value)
+    code, out, err = run_cli(capsys, "count", "--p", "3", "--genus", "4")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "NSG_WORKERS" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("cls", ["all", "sym", "psym", "medim"])
+def test_genus_range_matches_row_by_row_counts(capsys, fmt, cls):
+    code, out, _ = run_cli(
+        capsys, "count", "--p", "5", "--genus", "3..13", "--class", cls, "--format", fmt
+    )
+    assert code == 0
+    rows = [(5, g, cls, count_by_genus(5, g, cls)) for g in range(3, 14)]
+    if fmt == "csv":
+        expected = "p,genus,class,count\n" + "".join(f"{p},{g},{c},{n}\n" for p, g, c, n in rows)
+    else:
+        keys = ("p", "genus", "class", "count")
+        expected = json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
+    assert out == expected
 
 
 def test_seed_tables_roundtrip(tmp_path, capsys):

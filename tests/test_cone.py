@@ -17,7 +17,7 @@ from nsg import (
     sigma_star_set,
 )
 from nsg.cone import interior_shift_witness, star_inequalities
-from nsg.counting import _iter_points
+from nsg.counting import _walk
 from oracles import rank
 
 
@@ -202,7 +202,7 @@ def test_in_sigma_locus_examples():
 def test_pseudo_symmetric_locus_equivalence(p):
     # nonzero admissible vectors: pseudo-symmetric iff they solve some locus
     loci = sigma_star_set(p)
-    for mu in _iter_points(p, (10,) * (p - 1), max_total=10):
+    for mu in _walk(p, (10,) * (p - 1), max_total=10):
         if not any(mu):
             continue
         in_locus = any(locus.contains(mu) for locus in loci)
@@ -230,7 +230,7 @@ def test_genus_slice_bijection(p):
     from collections import Counter
 
     per_genus = Counter()
-    for mu in _iter_points(p, (12,) * (p - 1), max_total=12):
+    for mu in _walk(p, (12,) * (p - 1), max_total=12):
         per_genus[sum(mu)] += 1
     tree = oracles.tree_counts_containing_p(p, 12)
     for g in range(13):

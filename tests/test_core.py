@@ -12,7 +12,7 @@ from nsg import (
     build_cone,
     from_generators,
 )
-from nsg.counting import _iter_points
+from nsg.counting import _walk
 
 
 def test_from_generators_canonical_form():
@@ -112,7 +112,7 @@ def test_semigroup_validates_mu():
 def test_mu_roundtrip_through_generators(p):
     # every admissible vector with entries <= 6 survives the round trip
     caps = (6,) * (p - 1)
-    for mu in _iter_points(p, caps):
+    for mu in _walk(p, caps):
         s = Semigroup(p, mu)
         back = from_generators(s.minimal_generators(), p)
         assert back.mu == mu
@@ -120,7 +120,7 @@ def test_mu_roundtrip_through_generators(p):
 
 @pytest.mark.parametrize("p", [3, 4, 5])
 def test_genus_matches_gap_count(p):
-    for mu in _iter_points(p, (15,) * (p - 1), max_total=15):
+    for mu in _walk(p, (15,) * (p - 1), max_total=15):
         s = Semigroup(p, mu)
         assert s.genus() == len(s.gaps())
 
@@ -128,7 +128,7 @@ def test_genus_matches_gap_count(p):
 @pytest.mark.parametrize("p", [3, 4, 5])
 def test_apery_symmetry_characterization(p):
     # symmetric iff the sorted class minima (with 0) pair up to the largest
-    for mu in _iter_points(p, (12,) * (p - 1), max_total=12):
+    for mu in _walk(p, (12,) * (p - 1), max_total=12):
         s = Semigroup(p, mu)
         ap = sorted((0, *s.apery_elements()))
         paired = all(ap[i] + ap[p - 1 - i] == ap[p - 1] for i in range(p))
@@ -138,7 +138,7 @@ def test_apery_symmetry_characterization(p):
 @pytest.mark.parametrize("p", [5, 7])
 def test_pseudo_symmetric_embedding_dimension_below_p(p):
     hits = 0
-    for mu in _iter_points(p, (12,) * (p - 1), max_total=12):
+    for mu in _walk(p, (12,) * (p - 1), max_total=12):
         s = Semigroup(p, mu)
         if s.is_pseudo_symmetric():
             hits += 1
@@ -149,7 +149,7 @@ def test_pseudo_symmetric_embedding_dimension_below_p(p):
 def test_max_embedding_dimension_matches_interior():
     for p in (3, 4, 5):
         cone = build_cone(p)
-        for mu in _iter_points(p, (8,) * (p - 1), max_total=8):
+        for mu in _walk(p, (8,) * (p - 1), max_total=8):
             s = Semigroup(p, mu)
             assert s.is_max_embedding_dimension() == cone.strictly_contains(mu)
 

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from nsg import (
@@ -15,7 +17,9 @@ from nsg import (
     verify_medim_identity,
 )
 from nsg import counting
-from nsg.counting import containment_caps
+from nsg.cone import build_cone
+from nsg.core import Semigroup, _is_pseudo_symmetric_mu, _is_symmetric_mu
+from nsg.counting import containment_caps, genus_window
 
 
 def test_enumerate_small_slices():
@@ -110,9 +114,9 @@ def test_class_partition():
 
 def _containing_semigroups(p, q):
     from nsg.core import Semigroup
-    from nsg.counting import _iter_points
+    from nsg.counting import _walk
 
-    return [Semigroup(p, mu) for mu in _iter_points(p, containment_caps(p, q))]
+    return [Semigroup(p, mu) for mu in _walk(p, containment_caps(p, q))]
 
 
 def test_monotone_in_q():
@@ -236,3 +240,95 @@ def test_table_constructors():
     ct = containment_table(3, 14, "sym")
     assert ct.indices() == [1, 2, 4, 5, 7, 8, 10, 11, 13, 14]
     assert ct.values[14] == 8
+
+
+# Walks small enough for the plain depth-first oracle: the containment caps
+# of a coprime q, or a genus window low..high with low > 0.
+Q_MAX = {3: 60, 4: 40, 5: 30, 6: 24, 7: 20}
+GENUS_MAX = {3: 40, 4: 28, 5: 18, 6: 14, 7: 11}
+PREDICATES = {"sym": _is_symmetric_mu, "psym": _is_pseudo_symmetric_mu}
+
+
+@st.composite
+def walks(draw):
+    p = draw(st.integers(3, 7))
+    if draw(st.booleans()):
+        q = draw(st.integers(1, Q_MAX[p]).filter(lambda q: math.gcd(p, q) == 1))
+        caps = containment_caps(p, q)
+        low, high = 0, sum(caps)
+    else:
+        high = draw(st.integers(1, GENUS_MAX[p]))
+        low = draw(st.integers(1, high))
+        caps = (high,) * (p - 1)
+    strict = draw(st.booleans())
+    first = draw(st.none() | st.integers(0, min(caps[0], high)))
+    return p, caps, low, high, strict, first
+
+
+@given(walks(), st.sampled_from(("sym", "psym")))
+@settings(max_examples=120, deadline=None)
+def test_walk_matches_plain_dfs(walk, cls):
+    p, caps, low, high, strict, first = walk
+    points = [
+        mu
+        for mu in oracles.dfs_iter_points(p, caps, max_total=high, strict=strict, first=first)
+        if sum(mu) >= low
+    ]
+    # yield the vector
+    assert list(counting._walk(p, caps, low, high, strict, first)) == points
+    # add to the sum difference array
+    series = oracles.dfs_sum_series(p, caps, high, strict)
+    task = (p, caps, low, high, "medim" if strict else "all", None)
+    assert counting._count_task(task) == series[low:]
+    if first is not None:
+        by_sum = counting._count_task(task[:-1] + (first,))
+        assert by_sum == [sum(1 for mu in points if sum(mu) == g) for g in range(low, high + 1)]
+    # filter by class
+    plain = oracles.dfs_iter_points(p, caps, max_total=high)
+    kept = [mu for mu in plain if sum(mu) >= low and PREDICATES[cls](p, mu)]
+    by_class = counting._count_task((p, caps, low, high, cls, None))
+    assert by_class == [sum(1 for mu in kept if sum(mu) == g) for g in range(low, high + 1)]
+    if low == 0:
+        # add the range lengths of the whole walk
+        cls = "medim" if strict else "all"
+        assert sum(counting._counted(p, caps, 0, high, cls, 1)) == oracles.dfs_count_points(
+            p, caps, strict=strict
+        )
+    else:
+        # test the fixed sum, at both ends of the window
+        for g in (low, high):
+            assert count_by_genus(p, g, "medim" if strict else "all") == oracles.dfs_count_points(
+                p, (g,) * (p - 1), target=g, strict=strict
+            )
+
+
+def test_two_workers_sum_genus_windows_elementwise(monkeypatch):
+    sizes = []
+    _stub_pool(monkeypatch, sizes, 2)
+    slices = [list(oracles.dfs_iter_points(5, (g,) * 4, target=g)) for g in range(6, 15)]
+    assert genus_window(5, 6, 14, "all", workers=2) == [len(s) for s in slices]
+    psym = [sum(1 for mu in s if _is_pseudo_symmetric_mu(5, mu)) for s in slices]
+    assert genus_window(5, 6, 14, "psym", workers=2) == psym
+    assert sizes == [2, 2]
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_enumerate_walks_each_class_directly(p):
+    cone = build_cone(p)
+    keep = {
+        "all": lambda mu: True,
+        "medim": cone.strictly_contains,
+        "sym": lambda mu: _is_symmetric_mu(p, mu),
+        "psym": lambda mu: _is_pseudo_symmetric_mu(p, mu),
+    }
+    for g in range(9):
+        points = list(oracles.dfs_iter_points(p, (g,) * (p - 1), target=g))
+        for cls, test in keep.items():
+            listed = enumerate_by_genus(p, g, cls)
+            assert [s.mu for s in listed] == [mu for mu in points if test(mu)]
+            assert listed == [Semigroup(p, s.mu) for s in listed]
+
+
+def test_containment_caps_cache_is_bounded():
+    info = containment_caps.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
