@@ -9,10 +9,7 @@ from .cone import (
     UnsupportedP,
     build_cone,
     edges_of_cone_star,
-    in_sigma_locus,
     interior_shift_check,
-    is_in_cone,
-    is_in_interior,
     sigma_star_set,
 )
 from .core import (

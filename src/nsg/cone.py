@@ -102,14 +102,6 @@ def build_cone(p: int) -> ConeModel:
     return ConeModel(p, tuple(ineqs), vertex)
 
 
-def is_in_cone(cone: ConeModel, x) -> bool:
-    return cone.contains(x)
-
-
-def is_in_interior(cone: ConeModel, x) -> bool:
-    return cone.strictly_contains(x)
-
-
 def interior_shift_witness(p: int, bound: int) -> tuple[int, ...] | None:
     """First grid point <= bound violating 'interior = all-ones shift of cone'.
 
@@ -349,7 +341,3 @@ def sigma_star_set(p: int) -> tuple[SigmaLocus, ...]:
         if _sigma_qualifies(p, perm):
             loci.append(SigmaLocus(p, perm, _sigma_equations(p, perm)))
     return tuple(sorted(loci, key=lambda locus: locus.sigma))
-
-
-def in_sigma_locus(locus: SigmaLocus, x) -> bool:
-    return locus.contains(x)

@@ -54,6 +54,39 @@ def _conductor(hit: bytearray, multiplicity: int) -> int | None:
     return None
 
 
+def _sieve(gens: list[int], bound: int, reach: int = 0) -> tuple[bytearray, int]:
+    """Membership table of <gens> and its conductor c, with c + reach inside.
+
+    The table starts at 0..bound and doubles until the conductor shows.
+    """
+    while True:
+        hit = _closure_upto(gens, bound)
+        conductor = _conductor(hit, gens[0])
+        if conductor is not None and conductor + reach <= bound:
+            return hit, conductor
+        bound *= 2
+
+
+def _checked_generators(gens) -> list[int]:
+    gen_list = sorted({int(g) for g in gens})
+    if not gen_list or gen_list[0] <= 0:
+        raise ValueError("generators must be positive integers")
+    if reduce(math.gcd, gen_list) != 1:
+        raise NonCoprimeGenerators(f"gcd of {gen_list} is not 1")
+    return gen_list
+
+
+def _class_minima(p: int, member) -> tuple[int, ...]:
+    """mu of the semigroup with membership test member, by scanning each class."""
+    mu = []
+    for i in range(1, p):
+        n = i
+        while not member(n):
+            n += p
+        mu.append((n - i) // p)
+    return tuple(mu)
+
+
 def _apery_elements(p: int, mu: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i + m * p for i, m in enumerate(mu, start=1))
 
@@ -165,33 +198,14 @@ def from_generators(gens, p: int) -> Semigroup:
     bound that is grown until the conductor is visible, so the extracted
     class minima are always final.
     """
-    gen_list = sorted({int(g) for g in gens})
-    if not gen_list or gen_list[0] <= 0:
-        raise ValueError("generators must be positive integers")
-    if reduce(math.gcd, gen_list) != 1:
-        raise NonCoprimeGenerators(f"gcd of {gen_list} is not 1")
+    gen_list = _checked_generators(gens)
     p = int(p)
     if p < 3:
         raise ValueError("p must be at least 3")
-
-    multiplicity = gen_list[0]
-    bound = max(p, p * gen_list[-1])
-    while True:
-        hit = _closure_upto(gen_list, bound)
-        conductor = _conductor(hit, multiplicity)
-        if conductor is not None and conductor + p - 1 <= bound:
-            break
-        bound *= 2
-
+    hit, _ = _sieve(gen_list, max(p, p * gen_list[-1]), p - 1)
     if not hit[p]:
         raise PNotInSemigroup(f"{p} is not generated by {gen_list}")
-    mu = []
-    for i in range(1, p):
-        n = i
-        while not hit[n]:
-            n += p
-        mu.append((n - i) // p)
-    return Semigroup(p, tuple(mu))
+    return Semigroup(p, _class_minima(p, hit.__getitem__))
 
 
 @dataclass(frozen=True)
@@ -211,7 +225,8 @@ class GapSet:
         if gaps and gaps[0] <= 0:
             raise ValueError("gaps must be positive")
         top = gaps[-1] if gaps else 0
-        gap_set = set(gaps)
+        gap_set = frozenset(gaps)
+        object.__setattr__(self, "_gap_set", gap_set)  # for contains
         members = [n for n in range(1, top + 1) if n not in gap_set]
         for a in members:
             for b in members:
@@ -222,19 +237,8 @@ class GapSet:
 
     @classmethod
     def from_generators(cls, gens) -> "GapSet":
-        gen_list = sorted({int(g) for g in gens})
-        if not gen_list or gen_list[0] <= 0:
-            raise ValueError("generators must be positive integers")
-        if reduce(math.gcd, gen_list) != 1:
-            raise NonCoprimeGenerators(f"gcd of {gen_list} is not 1")
-        multiplicity = gen_list[0]
-        bound = max(2, 2 * gen_list[0] * gen_list[-1])
-        while True:
-            hit = _closure_upto(gen_list, bound)
-            conductor = _conductor(hit, multiplicity)
-            if conductor is not None:
-                break
-            bound *= 2
+        gen_list = _checked_generators(gens)
+        hit, conductor = _sieve(gen_list, max(2, 2 * gen_list[0] * gen_list[-1]))
         return cls(tuple(n for n in range(1, conductor) if not hit[n]))
 
     def genus(self) -> int:
@@ -246,7 +250,7 @@ class GapSet:
         return self.gaps[-1]
 
     def contains(self, n: int) -> bool:
-        return n >= 0 and n not in set(self.gaps)
+        return n >= 0 and n not in self._gap_set
 
     def to_semigroup(self, p: int) -> Semigroup:
         """Canonical (p, mu) form; p must be a member."""
@@ -254,10 +258,4 @@ class GapSet:
             raise ValueError("p must be at least 3")
         if not self.contains(p):
             raise PNotInSemigroup(f"{p} is a gap")
-        mu = []
-        for i in range(1, p):
-            n = i
-            while not self.contains(n):
-                n += p
-            mu.append((n - i) // p)
-        return Semigroup(p, tuple(mu))
+        return Semigroup(p, _class_minima(p, self.contains))

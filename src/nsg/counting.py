@@ -10,9 +10,13 @@ interval constraint on its highest-index coordinate once the lower ones are
 fixed, so each search node scans the feasible range.  The last two
 coordinates are resolved together: once the others are fixed, the bounds on
 the last one are affine in the one before it, so that one is looped over
-inline and the last is a closed range.  With the 'all'/'medim' filters that
-range is added to a difference array over sums instead of being iterated, so
-a whole genus window is counted in one walk; 'sym'/'psym' test each point.
+inline and the last is a closed range.  That range is added to a difference
+array over sums instead of being iterated, so a whole genus window is
+counted in one walk.
+
+Symmetric and pseudo-symmetric semigroups are not found by testing points:
+each class lies on a few affine loci of dimension about p/2 (one per residue
+of the largest Apéry element), and only the points of those loci are walked.
 """
 
 from __future__ import annotations
@@ -169,43 +173,192 @@ def _walk(p, caps, min_total=0, max_total=None, strict=False, first=None, diff=N
     yield from rec(1, 0)
 
 
-def _class_predicate(class_filter):
-    if class_filter == "sym":
-        return core._is_symmetric_mu
-    if class_filter == "psym":
-        return core._is_pseudo_symmetric_mu
-    raise ValueError(class_filter)
+@dataclass(frozen=True)
+class _Locus:
+    """One affine locus of 'sym' or 'psym' points, with the cone written on it.
+
+    The variables are v = (t, y_1, ..., y_m): t = x_k, where k is the residue
+    of the largest Apéry element, and y_f one coordinate of the f-th pair.
+    forms[c-1] = (a, b) gives 2 x_c = a . v + b; parity, unless None, is
+    the residue of t mod 2 that makes the halved coordinates integers.  rows[d]
+    holds (a_d, (a_0, ..., a_{d-1}), b) for each inequality a . v + b >= 0
+    whose last variable is v_d.  The sum of a point is (slope t + offset) / 2.
+    """
+
+    forms: tuple[tuple[tuple[int, ...], int], ...]
+    rows: tuple[tuple[tuple[int, tuple[int, ...], int], ...], ...]
+    parity: int | None
+    slope: int
+    offset: int
+
+
+def _locus(p: int, k: int, h: int | None) -> _Locus | None:
+    """The 'sym' locus of k (h None) or the 'psym' locus of k and h, if not empty.
+
+    Every residue i other than k (and h) pairs with j = (k - i) mod p by
+    x_i + x_j + e = x_k, where e = (i + j - k) / p is 0 or 1; a residue
+    paired with itself gives 2 x_i + e = x_k.  For 'psym', 2 x_h = x_k + 1
+    if 2h = k and 2 x_h = x_k if 2h = k + p, and x_k >= 1.
+    """
+    others = [i for i in range(1, p) if i not in (k, h)]
+    pairs = [(i, (k - i) % p) for i in others if i < (k - i) % p]
+    n = len(pairs) + 1
+
+    def form(coeffs, b):
+        a = [0] * n
+        for f, c in coeffs:
+            a[f] = c
+        return tuple(a), b
+
+    forms = [None] * (p - 1)
+    forms[k - 1] = form([(0, 2)], 0)
+    if h is not None:
+        forms[h - 1] = form([(0, 1)], int(2 * h == k))
+    for i in others:
+        if 2 * i % p == k:
+            forms[i - 1] = form([(0, 1)], -((2 * i - k) // p))
+    for f, (i, j) in enumerate(pairs, start=1):
+        forms[i - 1] = form([(f, 2)], 0)
+        forms[j - 1] = form([(0, 2), (f, -2)], -2 * ((i + j - k) // p))
+    parities = {b % 2 for a, b in forms if a[0] % 2}
+    if len(parities) > 1:
+        return None
+
+    def combine(terms, b):
+        a = [sum(s * forms[c - 1][0][f] for c, s in terms) for f in range(n)]
+        return tuple(a), b + sum(s * forms[c - 1][1] for c, s in terms)
+
+    inequalities = [combine([(c, 1)], 0) for c in range(1, p)]  # x_c >= 0
+    inequalities += [
+        combine([(i, 1), (j, 1), (l, -1)], -2 * c)
+        for i, j, l, c in build_cone(p).inequalities
+    ]
+    if h is not None:
+        inequalities.append(combine([(k, 1)], -2))  # the origin is not 'psym'
+    rows = [[] for _ in range(n)]
+    for a, b in inequalities:
+        if not any(a):
+            if b < 0:
+                return None
+            continue
+        d = max(f for f in range(n) if a[f])
+        rows[d].append((a[d], a[:d], b))
+    slope, offset = combine([(c, 1) for c in range(1, p)], 0)
+    return _Locus(
+        tuple(forms),
+        tuple(map(tuple, rows)),
+        parities.pop() if parities else None,
+        slope[0],
+        offset,
+    )
+
+
+@lru_cache(maxsize=None)
+def _class_loci(p: int, class_filter: str) -> tuple[_Locus, ...]:
+    """The nonempty loci of a class; they are disjoint, since k is the argmax."""
+    loci = []
+    for k in range(1, p):
+        if class_filter == "sym":
+            specials = [None]
+        else:
+            specials = [h for h in range(1, p) if 2 * h % p == k]
+        loci += [_locus(p, k, h) for h in specials]
+    return tuple(locus for locus in loci if locus is not None)
+
+
+def _locus_walk(locus, caps, low, high, out=None):
+    """Walk the points of one locus under caps in the cone, with sums low..high.
+
+    Without out, yield each point; with out, yield nothing and add the
+    number of points with sum g to out[g - low].  Each variable ranges over
+    the interval its rows leave once the earlier ones are fixed, so every
+    cone inequality holds at every point walked.
+    """
+    rows = [list(level) for level in locus.rows]
+    for (a, b), cap in zip(locus.forms, caps):
+        d = max(f for f in range(len(a)) if a[f])
+        rows[d].append((-a[d], tuple(-c for c in a[:d]), 2 * cap - b))
+    slope, offset = locus.slope, locus.offset
+    rows[0] += [(slope, (), offset - 2 * low), (-slope, (), 2 * high - offset)]
+    m = len(rows) - 1
+    v = [0] * (m + 1)
+
+    def bounds(d, lo, hi):
+        for head, tail, s in rows[d]:
+            for c, x in zip(tail, v):
+                s += c * x
+            if head > 0:
+                lo = max(lo, -(s // head))
+            else:
+                hi = min(hi, s // -head)
+        return lo, hi
+
+    def point():
+        return tuple((sum(c * x for c, x in zip(a, v)) + b) // 2 for a, b in locus.forms)
+
+    def rec(d):
+        lo, hi = bounds(d, 0, v[0])  # y_d is a coordinate, at most x_k = t
+        if d < m:
+            for v[d] in range(lo, hi + 1):
+                yield from rec(d + 1)
+        elif out is not None:
+            if lo <= hi:
+                out[(slope * v[0] + offset) // 2 - low] += hi - lo + 1
+        else:
+            for v[d] in range(lo, hi + 1):
+                yield point()
+
+    lo, hi = bounds(0, 0, high)
+    step = 1
+    if locus.parity is not None:
+        lo += (lo - locus.parity) % 2
+        step = 2
+    for v[0] in range(lo, hi + 1, step):
+        if m:
+            yield from rec(1)
+        elif out is not None:
+            out[(slope * v[0] + offset) // 2 - low] += 1
+        else:
+            yield point()
 
 
 def _count_task(task):
-    """Counts of the points of one walk with each sum low..high."""
-    p, caps, low, high, class_filter, first = task
+    """Counts of the points of one walk with each sum low..high.
+
+    part is None for the whole walk, or one share of a split: the value of
+    x_1 for 'all'/'medim', the index of one locus for 'sym'/'psym'.
+    """
+    p, caps, low, high, class_filter, part = task
     if class_filter in ("all", "medim"):
         diff = [0] * (high - low + 2)
-        for _ in _walk(p, caps, low, high, class_filter == "medim", first, diff):
+        for _ in _walk(p, caps, low, high, class_filter == "medim", part, diff):
             pass  # with diff the walk yields nothing and only fills it
         return list(accumulate(diff[:-1]))
-    pred = _class_predicate(class_filter)
+    loci = _class_loci(p, class_filter)
     out = [0] * (high - low + 1)
-    for mu in _walk(p, caps, low, high, first=first):
-        if pred(p, mu):
-            out[sum(mu) - low] += 1
+    for locus in loci if part is None else loci[part : part + 1]:
+        for _ in _locus_walk(locus, caps, low, high, out):
+            pass  # with out the walk yields nothing and only fills it
     return out
 
 
 def _counted(p, caps, low, high, class_filter, workers):
-    """Counts for each sum low..high, serially or split at the first coordinate.
+    """Counts for each sum low..high, serially or split into tasks.
 
-    The pool never has more processes than CPUs or tasks; when that leaves
-    one process, the count runs in this one.
+    'all'/'medim' split at the first coordinate, 'sym'/'psym' by locus.  The
+    pool never has more processes than CPUs or tasks; when that leaves one
+    process, the count runs in this one.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    top = min(caps[0], high)
-    size = min(workers, os.cpu_count() or 1, top + 1)
+    if class_filter in ("sym", "psym"):
+        parts = len(_class_loci(p, class_filter))
+    else:
+        parts = min(caps[0], high) + 1
+    size = min(workers, os.cpu_count() or 1, parts)
     if size == 1:
         return _count_task((p, caps, low, high, class_filter, None))
-    tasks = [(p, caps, low, high, class_filter, f) for f in range(top + 1)]
+    tasks = [(p, caps, low, high, class_filter, f) for f in range(parts)]
     counts = [0] * (high - low + 1)
     with ProcessPoolExecutor(max_workers=size) as pool:
         # Add the parts up as they arrive, so that few are held at once.
@@ -220,10 +373,11 @@ def enumerate_by_genus(p: int, genus: int, class_filter: str = "all"):
     if genus < 0:
         raise ValueError("genus must be nonnegative")
     caps = (genus,) * (p - 1)
-    mus = _walk(p, caps, genus, genus, strict=class_filter == "medim")
     if class_filter in ("sym", "psym"):
-        pred = _class_predicate(class_filter)
-        mus = (mu for mu in mus if pred(p, mu))
+        loci = _class_loci(p, class_filter)
+        mus = sorted(mu for locus in loci for mu in _locus_walk(locus, caps, genus, genus))
+    else:
+        mus = _walk(p, caps, genus, genus, strict=class_filter == "medim")
     return [core.Semigroup._trusted(p, mu) for mu in mus]
 
 

@@ -282,13 +282,7 @@ def _semigroup_from_heights(system: PathSystem, heights) -> core.Semigroup:
         system.gap_of_point(a, b) for a, h in enumerate(heights) for b in range(h)
     }
     gaps = _base_gaps(p, q)
-    mu = []
-    for i in range(1, p):
-        n = i
-        while n in gaps and n not in closed:
-            n += p
-        mu.append((n - i) // p)
-    return core.Semigroup(p, tuple(mu))
+    return core.Semigroup(p, core._class_minima(p, lambda n: n not in gaps or n in closed))
 
 
 def semigroup_from_path(system: PathSystem, path: LatticePath) -> core.Semigroup:

@@ -432,3 +432,27 @@ def dfs_sum_series(p, caps, g_max, strict=False):
         running += diff[g]
         out.append(running)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Symmetric and pseudo-symmetric points found by testing every cone point:
+# the reference for counting's walk over the loci of these classes.
+
+
+def point_frobenius(p: int, mu) -> int:
+    """Largest gap of the semigroup with Apéry coordinates mu; -1 if none."""
+    return max(i + m * p for i, m in enumerate(mu, start=1)) - p
+
+
+def filter_class_points(p, caps, low, high, cls) -> list[tuple[int, ...]]:
+    """Points under caps with sums low..high in class cls, in lexicographic order.
+
+    A semigroup of genus g is symmetric when 2g = F + 1 and pseudo-symmetric
+    when 2g = F + 2; with F = -1, the one without gaps is symmetric.
+    """
+    excess = {"sym": 1, "psym": 2}[cls]
+    return [
+        mu
+        for mu in dfs_iter_points(p, caps, max_total=high)
+        if sum(mu) >= low and 2 * sum(mu) == point_frobenius(p, mu) + excess
+    ]

@@ -10,12 +10,10 @@ from nsg import (
     UnsupportedP,
     build_cone,
     edges_of_cone_star,
-    in_sigma_locus,
     interior_shift_check,
-    is_in_cone,
-    is_in_interior,
     sigma_star_set,
 )
+from nsg import counting
 from nsg.cone import interior_shift_witness, star_inequalities
 from nsg.counting import _walk
 from oracles import rank
@@ -47,9 +45,9 @@ def test_vertex_saturates_every_inequality():
 
 def test_membership_examples():
     cone = build_cone(3)
-    assert is_in_cone(cone, (2, 4))
-    assert is_in_cone(cone, (0, 0)) and not is_in_interior(cone, (0, 0))
-    assert is_in_interior(cone, (1, 1))
+    assert cone.contains((2, 4))
+    assert cone.contains((0, 0)) and not cone.strictly_contains((0, 0))
+    assert cone.strictly_contains((1, 1))
     with pytest.raises(DimensionMismatch):
         cone.contains((1, 2, 3))
 
@@ -190,15 +188,15 @@ def test_sigma_congruences_hold():
 
 def test_in_sigma_locus_examples():
     loci = {locus.sigma: locus for locus in sigma_star_set(3)}
-    assert in_sigma_locus(loci[(1, 2)], (2, 1))
-    assert in_sigma_locus(loci[(1, 2)], (0, 0))  # origin solves it, excluded elsewhere
-    assert in_sigma_locus(loci[(2, 1)], (1, 1))
-    assert not in_sigma_locus(loci[(2, 1)], (2, 1))
+    assert loci[(1, 2)].contains((2, 1))
+    assert loci[(1, 2)].contains((0, 0))  # origin solves it, excluded elsewhere
+    assert loci[(2, 1)].contains((1, 1))
+    assert not loci[(2, 1)].contains((2, 1))
     with pytest.raises(DimensionMismatch):
         loci[(1, 2)].contains((1,))
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 4, 5, 6, 7])
 def test_pseudo_symmetric_locus_equivalence(p):
     # nonzero admissible vectors: pseudo-symmetric iff they solve some locus
     loci = sigma_star_set(p)
@@ -207,6 +205,22 @@ def test_pseudo_symmetric_locus_equivalence(p):
             continue
         in_locus = any(locus.contains(mu) for locus in loci)
         assert in_locus == Semigroup(p, mu).is_pseudo_symmetric()
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6, 7])
+def test_counting_psym_loci_match_sigma_loci(p):
+    # counting builds its 'psym' loci directly, without the permutation search
+    caps = (10,) * (p - 1)
+    walked = {
+        mu
+        for locus in counting._class_loci(p, "psym")
+        for mu in counting._locus_walk(locus, caps, 0, 10)
+    }
+    sigma = sigma_star_set(p)
+    for mu in _walk(p, caps, max_total=10):
+        on_sigma = any(locus.contains(mu) for locus in sigma)
+        # the origin solves the identity sigma locus but is not pseudo-symmetric
+        assert (mu in walked) == (on_sigma and any(mu))
 
 
 @pytest.mark.parametrize("p", [5, 7])

@@ -16,7 +16,7 @@ from nsg import (
     verify_interior_identity,
     verify_medim_identity,
 )
-from nsg import counting
+from nsg import closed_forms, counting
 from nsg.cone import build_cone
 from nsg.core import Semigroup, _is_pseudo_symmetric_mu, _is_symmetric_mu
 from nsg.counting import containment_caps, genus_window
@@ -327,6 +327,57 @@ def test_enumerate_walks_each_class_directly(p):
             listed = enumerate_by_genus(p, g, cls)
             assert [s.mu for s in listed] == [mu for mu in points if test(mu)]
             assert listed == [Semigroup(p, s.mu) for s in listed]
+
+
+@given(walks(), st.sampled_from(("sym", "psym")))
+@settings(max_examples=150, deadline=None)
+def test_locus_walk_matches_class_filter(walk, cls):
+    p, caps, low, high, _, _ = walk
+    kept = oracles.filter_class_points(p, caps, low, high, cls)
+    by_sum = [sum(1 for mu in kept if sum(mu) == g) for g in range(low, high + 1)]
+    loci = counting._class_loci(p, cls)
+    parts = [counting._count_task((p, caps, low, high, cls, i)) for i in range(len(loci))]
+    assert [sum(column) for column in zip(*parts)] == by_sum
+    assert counting._count_task((p, caps, low, high, cls, None)) == by_sum
+    walked = [mu for locus in loci for mu in counting._locus_walk(locus, caps, low, high)]
+    assert sorted(walked) == kept
+
+
+@pytest.mark.parametrize("p", range(3, 11))
+def test_trivial_semigroup_is_symmetric_only(p):
+    # The origin also solves a 'psym' locus equation system; x_k >= 1 excludes it.
+    assert count_by_genus(p, 0, "sym") == 1
+    assert count_by_genus(p, 0, "psym") == 0
+    assert enumerate_by_genus(p, 0, "psym") == []
+
+
+@pytest.mark.parametrize(
+    "p,g_max,formula",
+    [
+        (4, 300, closed_forms.symmetric_genus_count_4),
+        (5, 400, closed_forms.symmetric_genus_count_5),
+    ],
+)
+def test_symmetric_series_matches_closed_form(p, g_max, formula):
+    assert genus_count_series(p, g_max, "sym") == [formula(g) for g in range(g_max + 1)]
+
+
+def test_class_tasks_are_loci(monkeypatch):
+    serial = {cls: count_containing(6, 47, cls) for cls in ("sym", "psym")}
+    sizes, parts = [], []
+    _stub_pool(monkeypatch, sizes, 2)
+    count_task = counting._count_task
+
+    def recording(task):
+        parts.append(task[-1])
+        return count_task(task)
+
+    monkeypatch.setattr(counting, "_count_task", recording)
+    for cls in ("sym", "psym"):
+        parts.clear()
+        assert count_containing(6, 47, cls, workers=2) == serial[cls]
+        assert parts == list(range(len(counting._class_loci(6, cls))))
+    assert sizes == [2, 2]
 
 
 def test_containment_caps_cache_is_bounded():
