@@ -1,8 +1,9 @@
 """Command line surface: counting, listing, paths, edges, fitting, tables.
 
 Exit codes: 0 on success, 1 when a verification-style command finds a
-mismatch, 2 on usage errors.  CSV output is byte-stable so the files written
-by ``seed-tables`` can be compared verbatim with ``nsg table``.
+mismatch, 2 on usage errors, 3 on an internal error.  CSV output is
+byte-stable so the files written by ``seed-tables`` can be compared verbatim
+with ``nsg table``.
 """
 
 from __future__ import annotations
@@ -84,18 +85,19 @@ def _cmd_enumerate(args) -> int:
     for g in _parse_range(args.genus):
         for s in counting.enumerate_by_genus(args.p, g, args.cls):
             frobenius = "" if not any(s.mu) else s.frobenius()
+            gens, multiplicity = s.minimal_generators(), s.multiplicity()
             rows.append(
                 (
                     s.p,
                     ";".join(str(m) for m in s.mu),
-                    ";".join(str(v) for v in s.minimal_generators()),
+                    ";".join(str(v) for v in gens),
                     s.genus(),
                     frobenius,
-                    s.multiplicity(),
-                    s.embedding_dimension(),
+                    multiplicity,
+                    len(gens),
                     str(s.is_symmetric()).lower(),
                     str(s.is_pseudo_symmetric()).lower(),
-                    str(s.is_max_embedding_dimension()).lower(),
+                    str(multiplicity == len(gens) == s.p).lower(),
                 )
             )
     _emit(
@@ -376,6 +378,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

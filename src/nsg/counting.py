@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -360,6 +359,8 @@ def _counted(p, caps, low, high, class_filter, workers):
         return _count_task((p, caps, low, high, class_filter, None))
     tasks = [(p, caps, low, high, class_filter, f) for f in range(parts)]
     counts = [0] * (high - low + 1)
+    from concurrent.futures import ProcessPoolExecutor  # only pools pay for multiprocessing
+
     with ProcessPoolExecutor(max_workers=size) as pool:
         # Add the parts up as they arrive, so that few are held at once.
         for part in pool.map(_count_task, tasks):

@@ -8,9 +8,11 @@ always the point set on and under a monotone right/down staircase path.
 
 Closure of the resulting set under addition translates into two conditions
 on point pairs of L: whenever the sum of two closed gaps is again a gap, its
-point must also lie in L.  Working columnwise with the height profile of L,
-both conditions become interval demands on later columns, which is what the
-counting walk propagates.
+point must also lie in L.  L is fixed by its p - 1 row widths, and in them
+both conditions become bounds on each row from the rows above it.  The walk
+fixes the rows top down, and counts the last row's admissible widths as a
+range, so counting costs one step per choice of the first p - 2 rows, not
+one per path.
 
 The empty path stands for <p, q> itself; it is admissible but, by
 convention, not included in the admissible-path count (the total semigroup
@@ -183,91 +185,87 @@ def is_admissible(system: PathSystem, path: LatticePath) -> bool:
     return True
 
 
-def _iter_admissible_heights(system: PathSystem, h0_max=None):
-    """Yield height profiles of admissible nonempty paths.
+def _row_rules(system: PathSystem, h0_max=None) -> list[tuple]:
+    """Per row k = 1..p-1: (floor, cap, lower pairs, upper pairs, half row).
 
-    Columns are fixed left to right.  Adding column c with height h creates
-    the point pairs between column c and every earlier column; each pair
-    either checks against an already-fixed column or turns into a minimum
-    height demand on a later column.  Since heights never increase, a demand
-    exceeding the current height, the target cap, or an unmet demand at
-    termination kills the branch immediately.
+    Row widths w_1 >= ... >= w_{p-1} >= 0 fix a staircase; w_k counts the
+    columns of height at least k.  For rows i <= j of L the first pair
+    condition asks w_{i+j} >= w_i + w_j - q when i + j < p, and
+    w_i + w_j <= q otherwise, which the triangle's caps already ensure.
+    The second asks w_{i+j-p} >= w_i + w_j when i + j > p, which holds for
+    w_j = 0 as widths never increase: so w_j <= w_{i+j-p} - w_i for
+    i = p+1-j..j-1, and 2 * w_j <= w_{2j-p}.  h0 <= h0_max is
+    w_{h0_max+1} = 0, a zero cap; row 1 has floor 1 so that the empty path
+    is left out.
+    """
+    p = system.p
+    caps = system.column_caps()
+    rules = [None]
+    for k in range(1, p):
+        cap = 0 if h0_max is not None and k > h0_max else sum(c >= k for c in caps)
+        lower = tuple((i, k - i) for i in range(1, k // 2 + 1))
+        upper = tuple((i + k - p, i) for i in range(p + 1 - k, k))
+        rules.append((int(k == 1), cap, lower, upper, 2 * k - p if 2 * k > p else None))
+    return rules
+
+
+def _walk_rows(system: PathSystem, h0_max=None):
+    """Yield (w, last) for each admissible choice of rows 1..p-2.
+
+    w is the width list indexed by row (w_0 = q, above every width), shared
+    between yields; last is the range of admissible widths of row p-1.
+    Rows are fixed top down on an explicit stack, each over the contiguous
+    range its rules leave.
     """
     p, q = system.p, system.q
-    caps = system.column_caps()
-    ncols = len(caps)
-    heights: list[int] = []
-    pending: dict[int, int] = {}
-    # One frame per column being filled, kept on an explicit stack so that
-    # long triangles do not hit the interpreter's recursion limit: the next
-    # height to try, the top height, the demand the column owed on entry,
-    # and the pending changes made by the height under trial.
-    frames: list[list] = []
-    entering = True
+    n = p - 1
+    if n < 1:
+        return
+    rules = _row_rules(system, h0_max)
+    w = [q] + [0] * n
+    stack: list = []  # one iterator over the untried widths of each fixed row
+    k = 1
     while True:
-        if entering:
-            entering = False
-            c = len(heights)
-            if c >= 1 and not pending:
-                yield tuple(heights)  # ending the path here satisfies every demand
-            if c < ncols:
-                hi = min(heights[-1] if heights else max(caps), caps[c])
-                if c == 0 and h0_max is not None:
-                    hi = min(hi, h0_max)
-                # Heights never increase, so every outstanding demand (this
-                # column or any later one) bounds the current height from below.
-                lo = max(max(pending.values(), default=0), 1)
-                if lo <= hi:
-                    frames.append([lo, hi, pending.pop(c, None), []])
-        if not frames:
+        lo, hi, lower, upper, half = rules[k]
+        for i, j in lower:
+            if w[i] + w[j] - q > lo:
+                lo = w[i] + w[j] - q
+        if w[k - 1] < hi:  # the last row's rules imply it; here it prunes early
+            hi = w[k - 1]
+        if half is not None and w[half] // 2 < hi:
+            hi = w[half] // 2
+        for t, i in upper:
+            if w[t] - w[i] < hi:
+                hi = w[t] - w[i]
+        if k == n:
+            yield w, range(lo, hi + 1)
+        else:
+            stack.append(iter(range(lo, hi + 1)))
+        while stack:
+            k = len(stack)
+            v = next(stack[-1], None)
+            if v is not None:
+                w[k] = v
+                k += 1
+                break
+            stack.pop()
+        else:
             return
-        frame = frames[-1]
-        c = len(frames) - 1
-        del heights[c:]
-        recorded = frame[3]
-        for u, old in reversed(recorded):
-            if old is None:
-                del pending[u]
-            else:
-                pending[u] = old
-        recorded.clear()
-        h = frame[0]
-        if h > frame[1]:
-            frames.pop()
-            if frame[2] is not None:
-                pending[c] = frame[2]
-            continue
-        frame[0] = h + 1
-        ok = True
-        # Pairs whose required point sits in an already fixed column: only
-        # earlier columns a with a + c >= q - 1.
-        for a in range(max(q - 1 - c, 0), c + 1):
-            ha = heights[a] if a < c else h
-            if heights[a + c - q + 1] < ha + h:
-                ok = False
-                break
-        # Pairs that demand a later column: heights never increase, so these
-        # are the columns a up to the first with heights[a] + h <= p.
-        for a in range(c + 1) if ok else ():
-            ha = heights[a] if a < c else h
-            if ha + h <= p:
-                break
-            u = a + c + 1
-            need = ha + h - p
-            if need > h or u >= ncols or caps[u] < need:
-                ok = False
-                break
-            if pending.get(u, 0) < need:
-                recorded.append((u, pending.get(u)))
-                pending[u] = need
-        if ok:
-            heights.append(h)
-            entering = True
+
+
+def _iter_admissible_heights(system: PathSystem, h0_max=None):
+    """Yield height profiles of admissible nonempty paths with h0 <= h0_max."""
+    for w, last in _walk_rows(system, h0_max):
+        for w[-1] in last:
+            heights: list[int] = []
+            for k in range(len(w) - 1, 0, -1):
+                heights += [k] * (w[k] - len(heights))  # w_{k+1} columns so far
+            yield tuple(heights)
 
 
 def count_admissible(system: PathSystem) -> int:
     """Number of admissible nonempty paths (the empty path is not counted)."""
-    return sum(1 for _ in _iter_admissible_heights(system))
+    return sum(len(last) for _, last in _walk_rows(system))
 
 
 def iter_admissible(system: PathSystem, h0_max=None):
@@ -276,13 +274,23 @@ def iter_admissible(system: PathSystem, h0_max=None):
         yield LatticePath.from_heights(heights)
 
 
-def _semigroup_from_heights(system: PathSystem, heights) -> core.Semigroup:
+def _semigroup_from_widths(system: PathSystem, w) -> core.Semigroup:
+    """The class of k*q mod p has least element k*q - w_{p-k}*p."""
     p, q = system.p, system.q
-    closed = {
-        system.gap_of_point(a, b) for a, h in enumerate(heights) for b in range(h)
-    }
-    gaps = _base_gaps(p, q)
-    return core.Semigroup(p, core._class_minima(p, lambda n: n not in gaps or n in closed))
+    mu = [0] * (p - 1)
+    for k in range(1, p):
+        least = k * q - w[p - k] * p
+        mu[least % p - 1] = least // p
+    return core.Semigroup(p, mu)
+
+
+def _semigroup_from_heights(system: PathSystem, heights) -> core.Semigroup:
+    w = [0] * (system.p + 1)
+    for h in heights:
+        w[h] += 1
+    for k in range(system.p - 1, 0, -1):
+        w[k] += w[k + 1]  # now the number of columns of height at least k
+    return _semigroup_from_widths(system, w)
 
 
 def semigroup_from_path(system: PathSystem, path: LatticePath) -> core.Semigroup:
@@ -362,11 +370,12 @@ def verify_path_recursions(p: int, q_max: int) -> PathRecursionReport:
             continue
         system = PathSystem(p, q)
         new_total = new_sym = new_psym = 0
-        for heights in _iter_admissible_heights(system, h0_max=p - 2):
-            s = _semigroup_from_heights(system, heights)
-            new_total += 1
-            new_sym += s.is_symmetric()
-            new_psym += s.is_pseudo_symmetric()
+        for w, last in _walk_rows(system, h0_max=p - 2):
+            for w[-1] in last:
+                s = _semigroup_from_widths(system, w)
+                new_total += 1
+                new_sym += s.is_symmetric()
+                new_psym += s.is_pseudo_symmetric()
         rows.append(
             RecursionRow(
                 q=q,

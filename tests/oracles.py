@@ -456,3 +456,112 @@ def filter_class_points(p, caps, low, high, cls) -> list[tuple[int, ...]]:
         for mu in dfs_iter_points(p, caps, max_total=high)
         if sum(mu) >= low and 2 * sum(mu) == point_frobenius(p, mu) + excess
     ]
+
+
+# ---------------------------------------------------------------------------
+# The staircase model walked one column at a time, and its semigroups found
+# by closing gaps one at a time: the references for the row-width walk of
+# ``nsg.paths``.
+
+
+def column_walk_heights(system, h0_max=None):
+    """Yield height profiles of admissible nonempty staircases of a PathSystem.
+
+    Columns are fixed left to right.  Adding column c with height h creates
+    the point pairs between column c and every earlier column; each pair
+    either checks against an already-fixed column or turns into a minimum
+    height demand on a later column.  Since heights never increase, a demand
+    exceeding the current height, the target cap, or an unmet demand at
+    termination kills the branch immediately.
+    """
+    p, q = system.p, system.q
+    caps = system.column_caps()
+    ncols = len(caps)
+    heights: list[int] = []
+    pending: dict[int, int] = {}
+    # One frame per column being filled, kept on an explicit stack so that
+    # long triangles do not hit the interpreter's recursion limit: the next
+    # height to try, the top height, the demand the column owed on entry,
+    # and the pending changes made by the height under trial.
+    frames: list[list] = []
+    entering = True
+    while True:
+        if entering:
+            entering = False
+            c = len(heights)
+            if c >= 1 and not pending:
+                yield tuple(heights)  # ending the path here satisfies every demand
+            if c < ncols:
+                hi = min(heights[-1] if heights else max(caps), caps[c])
+                if c == 0 and h0_max is not None:
+                    hi = min(hi, h0_max)
+                # Heights never increase, so every outstanding demand (this
+                # column or any later one) bounds the current height from below.
+                lo = max(max(pending.values(), default=0), 1)
+                if lo <= hi:
+                    frames.append([lo, hi, pending.pop(c, None), []])
+        if not frames:
+            return
+        frame = frames[-1]
+        c = len(frames) - 1
+        del heights[c:]
+        recorded = frame[3]
+        for u, old in reversed(recorded):
+            if old is None:
+                del pending[u]
+            else:
+                pending[u] = old
+        recorded.clear()
+        h = frame[0]
+        if h > frame[1]:
+            frames.pop()
+            if frame[2] is not None:
+                pending[c] = frame[2]
+            continue
+        frame[0] = h + 1
+        ok = True
+        # Pairs whose required point sits in an already fixed column: only
+        # earlier columns a with a + c >= q - 1.
+        for a in range(max(q - 1 - c, 0), c + 1):
+            ha = heights[a] if a < c else h
+            if heights[a + c - q + 1] < ha + h:
+                ok = False
+                break
+        # Pairs that demand a later column: heights never increase, so these
+        # are the columns a up to the first with heights[a] + h <= p.
+        for a in range(c + 1) if ok else ():
+            ha = heights[a] if a < c else h
+            if ha + h <= p:
+                break
+            u = a + c + 1
+            need = ha + h - p
+            if need > h or u >= ncols or caps[u] < need:
+                ok = False
+                break
+            if pending.get(u, 0) < need:
+                recorded.append((u, pending.get(u)))
+                pending[u] = need
+        if ok:
+            heights.append(h)
+            entering = True
+
+
+@lru_cache(maxsize=None)
+def _two_generator_gaps(p: int, q: int) -> frozenset:
+    return frozenset(sieve_gaps((p, q)))
+
+
+def gap_closure_mu(system, heights) -> tuple[int, ...]:
+    """mu of <p, q> with the gaps of the staircase's points closed, by sieving."""
+    p, q = system.p, system.q
+    closed = {
+        system.gap_of_point(a, b) for a, h in enumerate(heights) for b in range(h)
+    }
+    gaps = _two_generator_gaps(p, q)
+    mu = []
+    for i in range(1, p):
+        n = i
+        while n in gaps and n not in closed:
+            n += p
+        mu.append((n - i) // p)
+    return tuple(mu)

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import nsg
 from nsg import cli
 from nsg.closed_forms import containing_count_3
 from nsg.counting import count_by_genus
@@ -89,7 +92,11 @@ def test_paths_count_and_list(capsys):
 
 @pytest.mark.parametrize(
     "p,q,expected",
-    [(2, 2001, (2001 - 1) // 2), (3, 1601, containing_count_3(1601) - 1)],
+    [
+        (2, 2001, (2001 - 1) // 2),
+        (3, 1601, containing_count_3(1601) - 1),
+        (3, 20000, containing_count_3(20000) - 1),
+    ],
 )
 def test_paths_long_triangle_has_no_recursion_limit(capsys, p, q, expected):
     # about 2q/3 columns at p = 3: deeper than the default recursion limit
@@ -244,3 +251,26 @@ def test_usage_error_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["count", "--p", "3"])  # neither --genus nor --contains
     assert exc.value.code == 2
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("walk lost its place")
+
+    monkeypatch.setattr(cli, "_cmd_edges", broken)
+    code, out, err = run_cli(capsys, "edges", "--p", "3")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: walk lost its place\n"
+
+
+def test_import_leaves_multiprocessing_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nsg.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, nsg.cli; print('multiprocessing' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"

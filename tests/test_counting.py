@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import pytest
@@ -188,7 +189,9 @@ class _RecordingPool:
 
 def _stub_pool(monkeypatch, sizes, cpus):
     monkeypatch.setattr(
-        counting, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(sizes, max_workers)
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        lambda max_workers: _RecordingPool(sizes, max_workers),
     )
     monkeypatch.setattr(counting.os, "cpu_count", lambda: cpus)
 

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from nsg import (
@@ -247,3 +249,31 @@ def test_rectangle_family_p4():
 @pytest.mark.parametrize("p", [4, 5])
 def test_recursions_generic(p):
     assert verify_path_recursions(p, 25).ok
+
+
+@st.composite
+def systems_and_h0(draw):
+    p = draw(st.integers(1, 7))
+    q = draw(st.integers(p + 1, 30).filter(lambda q: math.gcd(p, q) == 1))
+    h0_max = draw(st.one_of(st.none(), st.integers(0, p)))
+    return PathSystem(p, q), h0_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems_and_h0())
+def test_row_walk_matches_column_walk(case):
+    system, h0_max = case
+    yielded = list(_iter_admissible_heights(system, h0_max))
+    assert len(yielded) == len(set(yielded))
+    assert set(yielded) == set(oracles.column_walk_heights(system, h0_max))
+    if h0_max is None:
+        assert count_admissible(system) == len(yielded)
+    if system.p >= 3:
+        for heights in [(), *yielded]:
+            s = _semigroup_from_heights(system, heights)
+            assert s.mu == oracles.gap_closure_mu(system, heights)
+
+
+def test_row_walk_counts_a_large_triangle():
+    # 1,320,645 staircases: counting them must not build one tuple each
+    assert count_admissible(PathSystem(7, 60)) + 1 == count_containing(7, 60) == 1320646
