@@ -5,16 +5,12 @@ from .cone import (
     ConeModel,
     DimensionMismatch,
     EdgeSet,
-    SigmaLocus,
     UnsupportedP,
     build_cone,
     edges_of_cone_star,
-    interior_shift_check,
-    sigma_star_set,
 )
 from .core import (
     FrobeniusOfN,
-    GapSet,
     NonCoprimeGenerators,
     PNotInSemigroup,
     Semigroup,
@@ -22,18 +18,12 @@ from .core import (
 )
 from .counting import (
     CLASS_FILTERS,
-    CountTable,
     NotCoprime,
-    containment_table,
     count_by_genus,
     count_containing,
-    cumulative_by_genus,
     enumerate_by_genus,
     genus_count_series,
-    genus_table,
     genus_window,
-    verify_interior_identity,
-    verify_medim_identity,
 )
 from .paths import (
     LatticePath,
@@ -55,11 +45,9 @@ from .quasi import (
     InsufficientSamples,
     QuasiPolynomial,
     VerificationMismatch,
-    asymptotic_ratio_check,
     difference,
     fit,
     leading_coefficient_report,
-    partial_sum,
     predict_quasi_period,
     shift,
 )

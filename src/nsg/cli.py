@@ -19,6 +19,9 @@ from .cone import edges_of_cone_star
 from .counting import CLASS_FILTERS
 
 TABLE_NAMES = ("genus-small", "contains-p3", "contains-p4")
+# Samples a fit may count.  The p = 5 genus fit needs 240; the p = 6 and 7
+# fits need thousands, and counting that far would take days.
+MAX_FIT_SAMPLES = 1000
 _CONTAINS_Q = {"contains-p3": (3, (1, 2, 4, 5, 7, 8, 10, 11, 13, 14)),
                "contains-p4": (4, (1, 3, 5, 7, 9, 11, 13, 15))}
 
@@ -32,8 +35,10 @@ def _default_workers() -> int:
 
 def _parse_range(text: str) -> range:
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
+        lo, hi = (int(v) for v in text.split("..", 1))
+        if hi < lo:
+            raise ValueError(f"range {text} is empty")
+        return range(lo, hi + 1)
     v = int(text)
     return range(v, v + 1)
 
@@ -60,9 +65,8 @@ def _cmd_count(args) -> int:
     rows = []
     if args.genus is not None:
         genera = _parse_range(args.genus)
-        if genera:
-            counts = counting.genus_window(args.p, genera[0], genera[-1], args.cls, workers)
-            rows = [(args.p, g, args.cls, n) for g, n in zip(genera, counts)]
+        counts = counting.genus_window(args.p, genera[0], genera[-1], args.cls, workers)
+        rows = [(args.p, g, args.cls, n) for g, n in zip(genera, counts)]
         columns = ("p", "genus", "class", "count")
     else:
         qs = _parse_range(args.contains)
@@ -188,6 +192,10 @@ def _cmd_fit(args) -> int:
     if args.samples is None:
         base = period if period is not None else predicted
         args.samples = base * ((degree if degree is not None else 6) + 2)
+    if args.samples > MAX_FIT_SAMPLES:
+        raise ValueError(
+            f"the fit needs {args.samples} samples, above the budget of {MAX_FIT_SAMPLES}"
+        )
     values = _fit_values(args)
 
     def attempt(n):
@@ -240,10 +248,7 @@ def _table_rows(name):
             "total_p4", "medim_p4", "symmetric_p4",
         )
         data = {
-            p: {
-                cls: counting.genus_table(p, 8, cls).values
-                for cls in ("all", "medim", "sym")
-            }
+            p: {cls: counting.genus_count_series(p, 8, cls) for cls in ("all", "medim", "sym")}
             for p in (3, 4)
         }
         rows = [
@@ -258,7 +263,7 @@ def _table_rows(name):
     p, qs = _CONTAINS_Q[name]
     columns = ("q", "total", "medim", "symmetric", "pseudo_symmetric")
     tables = {
-        cls: counting.containment_table(p, max(qs), cls).values
+        cls: {q: counting.count_containing(p, q, cls) for q in qs}
         for cls in ("all", "medim", "sym", "psym")
     }
     rows = [

@@ -17,10 +17,6 @@ nonnegative orthant and each of its one-dimensional faces carries a primitive
 integer generator; those generators control quasi-periods of the lattice
 point counting functions along rational directions.  They are found by the
 double description method in integer arithmetic, for p <= 10 (MAX_EDGE_P).
-
-The module also builds the affine loci that carry pseudo-symmetric
-semigroups: for suitable permutations of the coordinates, a system of
-equalities pairing coordinates against a distinguished one.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
 
 
 class DimensionMismatch(ValueError):
@@ -102,26 +97,6 @@ def build_cone(p: int) -> ConeModel:
     return ConeModel(p, tuple(ineqs), vertex)
 
 
-def interior_shift_witness(p: int, bound: int) -> tuple[int, ...] | None:
-    """First grid point <= bound violating 'interior = all-ones shift of cone'.
-
-    Returns None when the identity holds on the whole grid {0..bound}^{p-1}.
-    """
-    cone = build_cone(p)
-    for x in product(range(bound + 1), repeat=p - 1):
-        interior = cone.strictly_contains(x)
-        shifted = all(v >= 1 for v in x) and cone.contains(tuple(v - 1 for v in x))
-        if interior != shifted:
-            return x
-    return None
-
-
-def interior_shift_check(p: int, bound: int) -> bool:
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
-    return interior_shift_witness(p, bound) is None
-
-
 # ---------------------------------------------------------------------------
 # Recession cone (vertex moved to the origin) and its edges.
 
@@ -129,16 +104,7 @@ def interior_shift_check(p: int, bound: int) -> bool:
 @lru_cache(maxsize=None)
 def star_inequalities(p: int) -> tuple[tuple[int, int, int], ...]:
     """Homogeneous system x_i + x_j >= x_{(i+j) mod p}, i + j != p."""
-    if p < 3:
-        raise ValueError("p must be at least 3")
-    out = []
-    for i in range(1, p):
-        for j in range(i, p):
-            s = i + j
-            if s % p == 0:
-                continue
-            out.append((i, j, s % p))
-    return tuple(out)
+    return tuple((i, j, k) for i, j, k, _ in build_cone(p).inequalities)
 
 
 def _star_normals(p: int) -> list[tuple[int, ...]]:
@@ -277,67 +243,3 @@ def edges_of_cone_star(p: int) -> EdgeSet:
         rays = kept
         full |= bit
     return EdgeSet(p, tuple(sorted(ray for ray, _ in rays)))
-
-
-# ---------------------------------------------------------------------------
-# Affine loci of pseudo-symmetric semigroups.
-
-
-@dataclass(frozen=True)
-class SigmaLocus:
-    """Equality system selecting one family of pseudo-symmetric vectors.
-
-    sigma is a permutation of {1, ..., p-1} (sigma[i-1] is the image of i)
-    whose values pair up, modulo p, against the image of p-2.  equations
-    holds tuples (a, b, k, d) meaning x_a + x_b - x_k = d.
-    """
-
-    p: int
-    sigma: tuple[int, ...]
-    equations: tuple[tuple[int, int, int, int], ...]
-
-    def contains(self, x) -> bool:
-        x = tuple(x)
-        if len(x) != self.p - 1:
-            raise DimensionMismatch(
-                f"expected {self.p - 1} coordinates, got {len(x)}"
-            )
-        return all(
-            x[a - 1] + x[b - 1] - x[k - 1] == d for a, b, k, d in self.equations
-        )
-
-
-def _sigma_qualifies(p: int, sigma: tuple[int, ...]) -> bool:
-    # sigma[i-1] = image of i; pairing congruences plus the doubling one.
-    s = lambda i: sigma[i - 1]
-    for i in range(1, p - 2):
-        if (s(i) + s(p - 2 - i) - s(p - 2)) % p != 0:
-            return False
-    return (2 * s(p - 1) - s(p - 2)) % p == 0
-
-
-def _sigma_equations(p: int, sigma: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
-    s = lambda i: sigma[i - 1]
-    eqs = []
-    for i in range(1, p - 2):
-        if i > p - 2 - i:
-            break  # the pair (i, p-2-i) was already emitted
-        a, b, k = s(i), s(p - 2 - i), s(p - 2)
-        d = 0 if a + b == k else -1  # otherwise a + b == k + p
-        eqs.append((a, b, k, d))
-    a, k = s(p - 1), s(p - 2)
-    d = 1 if 2 * a == k else 0  # otherwise 2a == k + p
-    eqs.append((a, a, k, d))
-    return tuple(eqs)
-
-
-@lru_cache(maxsize=None)
-def sigma_star_set(p: int) -> tuple[SigmaLocus, ...]:
-    """All qualifying permutations with their equality systems, sorted."""
-    if p < 3:
-        raise ValueError("p must be at least 3")
-    loci = []
-    for perm in permutations(range(1, p)):
-        if _sigma_qualifies(p, perm):
-            loci.append(SigmaLocus(p, perm, _sigma_equations(p, perm)))
-    return tuple(sorted(loci, key=lambda locus: locus.sigma))

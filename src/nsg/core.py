@@ -7,9 +7,6 @@ mu has one entry per nonzero residue class modulo p and the least semigroup
 element congruent to i is i + mu[i-1] * p.  The vector determines the
 semigroup completely: membership, genus (number of gaps), Frobenius number
 (largest gap), multiplicity and embedding dimension are all read off from it.
-
-The sieve-backed ``GapSet`` is an independent oracle representation used to
-cross-check the canonical one; it stores the gaps themselves.
 """
 
 from __future__ import annotations
@@ -54,8 +51,8 @@ def _conductor(hit: bytearray, multiplicity: int) -> int | None:
     return None
 
 
-def _sieve(gens: list[int], bound: int, reach: int = 0) -> tuple[bytearray, int]:
-    """Membership table of <gens> and its conductor c, with c + reach inside.
+def _sieve(gens: list[int], bound: int, reach: int) -> bytearray:
+    """Membership table of <gens> reaching reach past its conductor.
 
     The table starts at 0..bound and doubles until the conductor shows.
     """
@@ -63,28 +60,8 @@ def _sieve(gens: list[int], bound: int, reach: int = 0) -> tuple[bytearray, int]
         hit = _closure_upto(gens, bound)
         conductor = _conductor(hit, gens[0])
         if conductor is not None and conductor + reach <= bound:
-            return hit, conductor
+            return hit
         bound *= 2
-
-
-def _checked_generators(gens) -> list[int]:
-    gen_list = sorted({int(g) for g in gens})
-    if not gen_list or gen_list[0] <= 0:
-        raise ValueError("generators must be positive integers")
-    if reduce(math.gcd, gen_list) != 1:
-        raise NonCoprimeGenerators(f"gcd of {gen_list} is not 1")
-    return gen_list
-
-
-def _class_minima(p: int, member) -> tuple[int, ...]:
-    """mu of the semigroup with membership test member, by scanning each class."""
-    mu = []
-    for i in range(1, p):
-        n = i
-        while not member(n):
-            n += p
-        mu.append((n - i) // p)
-    return tuple(mu)
 
 
 def _apery_elements(p: int, mu: tuple[int, ...]) -> tuple[int, ...]:
@@ -198,64 +175,21 @@ def from_generators(gens, p: int) -> Semigroup:
     bound that is grown until the conductor is visible, so the extracted
     class minima are always final.
     """
-    gen_list = _checked_generators(gens)
+    gen_list = sorted({int(g) for g in gens})
+    if not gen_list or gen_list[0] <= 0:
+        raise ValueError("generators must be positive integers")
+    if reduce(math.gcd, gen_list) != 1:
+        raise NonCoprimeGenerators(f"gcd of {gen_list} is not 1")
     p = int(p)
     if p < 3:
         raise ValueError("p must be at least 3")
-    hit, _ = _sieve(gen_list, max(p, p * gen_list[-1]), p - 1)
+    hit = _sieve(gen_list, max(p, p * gen_list[-1]), p - 1)
     if not hit[p]:
         raise PNotInSemigroup(f"{p} is not generated by {gen_list}")
-    return Semigroup(p, _class_minima(p, hit.__getitem__))
-
-
-@dataclass(frozen=True)
-class GapSet:
-    """Oracle representation: the finite set of gaps itself.
-
-    Validates on construction that the complement really is a numerical
-    semigroup, i.e. closed under addition of members.
-    """
-
-    gaps: tuple[int, ...]
-
-    def __post_init__(self):
-        gaps = tuple(sorted(set(self.gaps)))
-        if gaps != self.gaps:
-            raise ValueError("gaps must be sorted and duplicate-free")
-        if gaps and gaps[0] <= 0:
-            raise ValueError("gaps must be positive")
-        top = gaps[-1] if gaps else 0
-        gap_set = frozenset(gaps)
-        object.__setattr__(self, "_gap_set", gap_set)  # for contains
-        members = [n for n in range(1, top + 1) if n not in gap_set]
-        for a in members:
-            for b in members:
-                if a + b <= top and a + b in gap_set:
-                    raise ValueError(
-                        f"complement not closed: {a} + {b} = {a + b} is a gap"
-                    )
-
-    @classmethod
-    def from_generators(cls, gens) -> "GapSet":
-        gen_list = _checked_generators(gens)
-        hit, conductor = _sieve(gen_list, max(2, 2 * gen_list[0] * gen_list[-1]))
-        return cls(tuple(n for n in range(1, conductor) if not hit[n]))
-
-    def genus(self) -> int:
-        return len(self.gaps)
-
-    def frobenius(self) -> int:
-        if not self.gaps:
-            raise FrobeniusOfN("the full semigroup has no gaps")
-        return self.gaps[-1]
-
-    def contains(self, n: int) -> bool:
-        return n >= 0 and n not in self._gap_set
-
-    def to_semigroup(self, p: int) -> Semigroup:
-        """Canonical (p, mu) form; p must be a member."""
-        if p < 3:
-            raise ValueError("p must be at least 3")
-        if not self.contains(p):
-            raise PNotInSemigroup(f"{p} is a gap")
-        return Semigroup(p, _class_minima(p, self.contains))
+    mu = []
+    for i in range(1, p):
+        n = i
+        while not hit[n]:
+            n += p
+        mu.append((n - i) // p)
+    return Semigroup(p, tuple(mu))

@@ -15,8 +15,9 @@ array over sums instead of being iterated, so a whole genus window is
 counted in one walk.
 
 Symmetric and pseudo-symmetric semigroups are not found by testing points:
-each class lies on a few affine loci of dimension about p/2 (one per residue
-of the largest Apéry element), and only the points of those loci are walked.
+each class lies on a few affine loci of dimension about p/2, one per residue
+of the largest Apéry element, built here from the pairing of residues
+against it.  Only the points of those loci are walked.
 """
 
 from __future__ import annotations
@@ -406,11 +407,6 @@ def genus_count_series(p: int, g_max: int, class_filter: str = "all") -> list[in
     return genus_window(p, 0, g_max, class_filter)
 
 
-def cumulative_by_genus(p: int, genus: int) -> int:
-    """Number of semigroups containing p with genus at most the given one."""
-    return sum(genus_count_series(p, genus))
-
-
 @lru_cache(maxsize=1024)  # keyed by q, so a long sweep would grow it without end
 def containment_caps(p: int, q: int) -> tuple[int, ...]:
     """Coordinatewise caps for semigroups containing both p and q.
@@ -430,66 +426,3 @@ def count_containing(p: int, q: int, class_filter: str = "all", workers: int = 1
     _check_args(p, class_filter)
     caps = containment_caps(p, q)
     return sum(_counted(p, caps, 0, sum(caps), class_filter, workers))
-
-
-def verify_interior_identity(p: int, g_max: int) -> bool:
-    """Interior counts at genus g match full counts at genus g - (p-1)."""
-    if g_max < p - 1:
-        raise ValueError("g_max must be at least p - 1")
-    full = genus_count_series(p, g_max)
-    inner = genus_count_series(p, g_max, "medim")
-    return all(inner[g] == full[g - (p - 1)] for g in range(p - 1, g_max + 1))
-
-
-def verify_medim_identity(p: int, q_max: int) -> bool:
-    """Maximal-embedding-dimension counts shift: medim at q equals all at q - p."""
-    if q_max <= 2 * p:
-        raise ValueError("q_max must exceed 2 * p")
-    for q in range(p + 1, q_max + 1):
-        if math.gcd(p, q) != 1:
-            continue
-        if count_containing(p, q, "medim") != count_containing(p, q - p):
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """A labelled integer sequence produced by one of the counters."""
-
-    label: str
-    p: int
-    class_filter: str
-    values: dict
-
-    def __post_init__(self):
-        if self.class_filter not in CLASS_FILTERS:
-            raise ValueError(f"class_filter must be one of {CLASS_FILTERS}")
-        if any(v < 0 for v in self.values.values()):
-            raise ValueError("counts must be nonnegative")
-
-    def indices(self) -> list[int]:
-        return sorted(self.values)
-
-
-def genus_table(p: int, g_max: int, class_filter: str = "all") -> CountTable:
-    """Counts for genus 0..g_max as a labelled table."""
-    series = genus_count_series(p, g_max, class_filter)
-    return CountTable(
-        f"genus counts, p={p}, class={class_filter}",
-        p,
-        class_filter,
-        dict(enumerate(series)),
-    )
-
-
-def containment_table(p: int, q_max: int, class_filter: str = "all") -> CountTable:
-    """Counts for every q <= q_max coprime to p as a labelled table."""
-    values = {
-        q: count_containing(p, q, class_filter)
-        for q in range(1, q_max + 1)
-        if math.gcd(p, q) == 1
-    }
-    return CountTable(
-        f"containment counts, p={p}, class={class_filter}", p, class_filter, values
-    )

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import core, counting
 
@@ -99,11 +98,6 @@ class PathSystem:
         if rest <= 0 or rest % p != 0:
             raise NotAGap(f"{gap} is not a gap")
         return rest // p - 1, b_plus_1 - 1
-
-
-@lru_cache(maxsize=None)
-def _base_gaps(p: int, q: int) -> frozenset:
-    return frozenset(core.GapSet.from_generators((p, q)).gaps)
 
 
 @dataclass(frozen=True)
@@ -310,9 +304,8 @@ def path_from_semigroup(system: PathSystem, s: core.Semigroup) -> LatticePath:
     if not s.contains(q):
         raise NotContainingQ(f"semigroup does not contain {q}")
     columns: dict[int, set[int]] = {}
-    for gap in sorted(_base_gaps(p, q)):
-        if s.contains(gap):
-            a, b = system.point_of_gap(gap)
+    for a, b in system.triangle_points():
+        if s.contains(system.gap_of_point(a, b)):
             columns.setdefault(a, set()).add(b)
     if not columns:
         return LatticePath((), frozenset())

@@ -1,4 +1,4 @@
-"""Quasi-polynomials: exact fitting, operators, periods, asymptotic checks.
+"""Quasi-polynomials: exact fitting, operators and quasi-periods.
 
 A quasi-polynomial of period N is given by N ordinary polynomials; evaluation
 at n uses the constituent indexed by n mod N, as a polynomial in n itself.
@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .cone import edges_of_cone_star
 
 
@@ -110,6 +109,25 @@ def fit(values, period: int, degree: int | None = None) -> QuasiPolynomial:
     raise last_error
 
 
+def _interpolate(nodes, values) -> tuple[Fraction, ...]:
+    """Coefficients of the polynomial through (nodes[k], values[k]), low to high.
+
+    Newton's divided differences, then the Newton form expanded in powers
+    of n; the nodes must be distinct.
+    """
+    c = list(values)
+    for j in range(1, len(nodes)):
+        for i in range(len(nodes) - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (nodes[i] - nodes[i - j])
+    coeffs = [c[-1]]
+    for node, ck in zip(nodes[-2::-1], c[-2::-1]):
+        # coeffs * (n - node) + ck
+        coeffs = [ck - node * coeffs[0]] + [
+            a - node * b for a, b in zip(coeffs, coeffs[1:] + [0])
+        ]
+    return tuple(coeffs)
+
+
 def _fit_exact(vals, period, degree) -> QuasiPolynomial:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -122,8 +140,7 @@ def _fit_exact(vals, period, degree) -> QuasiPolynomial:
                 f"need {degree + 2} for degree {degree}"
             )
         nodes = ns[: degree + 1]
-        rows = [[Fraction(n) ** k for k in range(degree + 1)] for n in nodes]
-        coeffs = linalg.solve(rows, [vals[n] for n in nodes])
+        coeffs = _interpolate(nodes, [vals[n] for n in nodes])
         for n in ns[degree + 1 :]:
             if _poly_eval(coeffs, n) != vals[n]:
                 raise VerificationMismatch(
@@ -152,22 +169,6 @@ def difference(qp: QuasiPolynomial) -> QuasiPolynomial:
             for r in range(qp.period)
         ),
     )
-
-
-def partial_sum(qp: QuasiPolynomial) -> QuasiPolynomial:
-    """n -> sum of the values at 0..n, as an exact quasi-polynomial.
-
-    The result has the same period and degree at most one higher, so it is
-    recovered by exact interpolation on enough prefix sums.
-    """
-    d = max(qp.degree, 0)
-    need = qp.period * (d + 3)
-    sums = []
-    acc = Fraction(0)
-    for n in range(need):
-        acc += qp.evaluate(n)
-        sums.append(acc)
-    return _fit_exact(sums, qp.period, d + 1)
 
 
 @dataclass(frozen=True)
@@ -223,53 +224,3 @@ def leading_coefficient_report(qp: QuasiPolynomial) -> LeadingCoefficients:
         c[d] if len(c) > d else Fraction(0) for c in qp.constituents
     )
     return LeadingCoefficients(d, coeffs, len(set(coeffs)) == 1)
-
-
-@dataclass(frozen=True)
-class AsymptoticReport:
-    exponent: int
-    limit: Fraction
-    bound_constant: Fraction
-    checked: int
-    largest_q: int
-    gap_at_largest: Fraction
-    worst_scaled_gap: Fraction
-    ok: bool
-
-
-def asymptotic_ratio_check(
-    counter,
-    exponent: int,
-    limit,
-    q_max: int,
-    *,
-    bound_constant,
-    q_min: int = 1,
-    coprime_to: int | None = None,
-) -> AsymptoticReport:
-    """Check |counter(q)/q^e - limit| <= C/q on a q range, exactly.
-
-    counter is called on every q in [q_min, q_max] (restricted to values
-    coprime to ``coprime_to`` when given) and must return exact integers.
-    """
-    limit = Fraction(limit)
-    bound = Fraction(bound_constant)
-    ok = True
-    checked = 0
-    worst = Fraction(0)
-    last_q = None
-    last_gap = None
-    for q in range(q_min, q_max + 1):
-        if coprime_to is not None and math.gcd(q, coprime_to) != 1:
-            continue
-        gap = abs(Fraction(counter(q), q**exponent) - limit)
-        checked += 1
-        last_q, last_gap = q, gap
-        worst = max(worst, gap * q)
-        if gap > bound / q:
-            ok = False
-    if last_q is None:
-        raise ValueError("empty q range")
-    return AsymptoticReport(
-        exponent, limit, bound, checked, last_q, last_gap, worst, ok
-    )

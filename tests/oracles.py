@@ -2,15 +2,22 @@
 
 Everything here works from first principles on explicit membership tables,
 gap sets or exhaustive subsets of cone inequalities and rays, sharing no code
-path with the structures under test.
+path with the structures under test.  The exceptions: ``GapSet`` and
+``SigmaLocus`` return and raise the library's types, and the checks at the
+end call the library, because what they test is a relation between its
+results.  ``perfbench/checks.py`` loads this file by path, without
+registering it as a module, in a process that does not import ``nsg``.  So
+``nsg`` is imported only inside the functions that need it, and nothing here
+is a dataclass, which cannot be created under such a load.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 
 def sieve_members(gens, bound: int) -> list[bool]:
@@ -69,6 +76,56 @@ def is_gapset_of_semigroup(gaps) -> bool:
             if a + b in gaps:
                 return False
     return True
+
+
+class GapSet:
+    """A numerical semigroup given by its finite set of gaps.
+
+    Validates on construction that the complement really is a numerical
+    semigroup, i.e. closed under addition of members.
+    """
+
+    def __init__(self, gaps: tuple[int, ...]):
+        if tuple(sorted(set(gaps))) != gaps:
+            raise ValueError("gaps must be sorted and duplicate-free")
+        if gaps and gaps[0] <= 0:
+            raise ValueError("gaps must be positive")
+        if not is_gapset_of_semigroup(gaps):
+            raise ValueError("complement not closed under addition")
+        self.gaps = gaps
+
+    @classmethod
+    def from_generators(cls, gens) -> "GapSet":
+        return cls(tuple(sieve_gaps(gens)))
+
+    def genus(self) -> int:
+        return len(self.gaps)
+
+    def frobenius(self) -> int:
+        from nsg import FrobeniusOfN
+
+        if not self.gaps:
+            raise FrobeniusOfN("the full semigroup has no gaps")
+        return self.gaps[-1]
+
+    def contains(self, n: int) -> bool:
+        return n >= 0 and n not in self.gaps
+
+    def to_semigroup(self, p: int):
+        """Canonical nsg.Semigroup (p, mu); p must be a member."""
+        from nsg import PNotInSemigroup, Semigroup
+
+        if p < 3:
+            raise ValueError("p must be at least 3")
+        if not self.contains(p):
+            raise PNotInSemigroup(f"{p} is a gap")
+        mu = []
+        for i in range(1, p):
+            n = i
+            while not self.contains(n):
+                n += p
+            mu.append((n - i) // p)
+        return Semigroup(p, tuple(mu))
 
 
 def tree_gapsets(max_genus: int) -> list[frozenset]:
@@ -565,3 +622,208 @@ def gap_closure_mu(system, heights) -> tuple[int, ...]:
             n += p
         mu.append((n - i) // p)
     return tuple(mu)
+
+
+# ---------------------------------------------------------------------------
+# The interior-shift identity on a grid, and the pseudo-symmetric loci by a
+# search over all permutations: the references for the 'medim' and 'psym'
+# counts of ``nsg.counting``.
+
+
+def interior_shift_witness(p: int, bound: int) -> tuple[int, ...] | None:
+    """First grid point <= bound violating 'interior = all-ones shift of cone'.
+
+    Returns None when the identity holds on the whole grid {0..bound}^{p-1}.
+    """
+    ineqs = cone_inequalities(p)
+
+    def holds(x, margin):
+        return all(x[i - 1] + x[j - 1] - x[k - 1] >= c + margin for i, j, k, c in ineqs)
+
+    for x in product(range(bound + 1), repeat=p - 1):
+        interior = holds(x, 1)
+        shifted = all(v >= 1 for v in x) and holds(tuple(v - 1 for v in x), 0)
+        if interior != shifted:
+            return x
+    return None
+
+
+def interior_shift_check(p: int, bound: int) -> bool:
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
+    return interior_shift_witness(p, bound) is None
+
+
+class SigmaLocus:
+    """Equality system selecting one family of pseudo-symmetric vectors.
+
+    sigma is a permutation of {1, ..., p-1} (sigma[i-1] is the image of i)
+    whose values pair up, modulo p, against the image of p-2.  equations
+    holds tuples (a, b, k, d) meaning x_a + x_b - x_k = d.
+    """
+
+    def __init__(self, p: int, sigma: tuple[int, ...]):
+        self.p = p
+        self.sigma = sigma
+        self.equations = _sigma_equations(p, sigma)
+
+    def contains(self, x) -> bool:
+        from nsg import DimensionMismatch
+
+        x = tuple(x)
+        if len(x) != self.p - 1:
+            raise DimensionMismatch(
+                f"expected {self.p - 1} coordinates, got {len(x)}"
+            )
+        return all(
+            x[a - 1] + x[b - 1] - x[k - 1] == d for a, b, k, d in self.equations
+        )
+
+
+def _sigma_qualifies(p: int, sigma: tuple[int, ...]) -> bool:
+    # sigma[i-1] = image of i; pairing congruences plus the doubling one.
+    s = lambda i: sigma[i - 1]
+    for i in range(1, p - 2):
+        if (s(i) + s(p - 2 - i) - s(p - 2)) % p != 0:
+            return False
+    return (2 * s(p - 1) - s(p - 2)) % p == 0
+
+
+def _sigma_equations(p: int, sigma: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
+    s = lambda i: sigma[i - 1]
+    eqs = []
+    for i in range(1, p - 2):
+        if i > p - 2 - i:
+            break  # the pair (i, p-2-i) was already emitted
+        a, b, k = s(i), s(p - 2 - i), s(p - 2)
+        d = 0 if a + b == k else -1  # otherwise a + b == k + p
+        eqs.append((a, b, k, d))
+    a, k = s(p - 1), s(p - 2)
+    d = 1 if 2 * a == k else 0  # otherwise 2a == k + p
+    eqs.append((a, a, k, d))
+    return tuple(eqs)
+
+
+@lru_cache(maxsize=None)
+def sigma_star_set(p: int) -> tuple[SigmaLocus, ...]:
+    """All qualifying permutations with their equality systems, sorted."""
+    if p < 3:
+        raise ValueError("p must be at least 3")
+    loci = []
+    for perm in permutations(range(1, p)):
+        if _sigma_qualifies(p, perm):
+            loci.append(SigmaLocus(p, perm))
+    return tuple(sorted(loci, key=lambda locus: locus.sigma))
+
+
+# ---------------------------------------------------------------------------
+# Identities between the library's own counts, and quasi-polynomial checks
+# built on its fit.
+
+
+def verify_interior_identity(p: int, g_max: int) -> bool:
+    """Interior counts at genus g match full counts at genus g - (p-1)."""
+    from nsg import genus_count_series
+
+    if g_max < p - 1:
+        raise ValueError("g_max must be at least p - 1")
+    full = genus_count_series(p, g_max)
+    inner = genus_count_series(p, g_max, "medim")
+    return all(inner[g] == full[g - (p - 1)] for g in range(p - 1, g_max + 1))
+
+
+def verify_medim_identity(p: int, q_max: int) -> bool:
+    """Maximal-embedding-dimension counts shift: medim at q equals all at q - p."""
+    from nsg import count_containing
+
+    if q_max <= 2 * p:
+        raise ValueError("q_max must exceed 2 * p")
+    for q in range(p + 1, q_max + 1):
+        if math.gcd(p, q) != 1:
+            continue
+        if count_containing(p, q, "medim") != count_containing(p, q - p):
+            return False
+    return True
+
+
+def cumulative_by_genus(p: int, genus: int) -> int:
+    """Number of semigroups containing p with genus at most the given one."""
+    from nsg import genus_count_series
+
+    return sum(genus_count_series(p, genus))
+
+
+def partial_sum(qp):
+    """n -> sum of the values at 0..n of an nsg.QuasiPolynomial, as another.
+
+    The result has the same period and degree at most one higher, so it is
+    recovered by exact interpolation on enough prefix sums.
+    """
+    from nsg import fit
+
+    d = max(qp.degree, 0)
+    sums = []
+    acc = Fraction(0)
+    for n in range(qp.period * (d + 3)):
+        acc += qp.evaluate(n)
+        sums.append(acc)
+    return fit(sums, qp.period, d + 1)
+
+
+AsymptoticReport = namedtuple(
+    "AsymptoticReport",
+    "exponent limit bound_constant checked largest_q gap_at_largest worst_scaled_gap ok",
+)
+
+
+def asymptotic_ratio_check(
+    counter,
+    exponent: int,
+    limit,
+    q_max: int,
+    *,
+    bound_constant,
+    q_min: int = 1,
+    coprime_to: int | None = None,
+):
+    """Check |counter(q)/q^e - limit| <= C/q on a q range, exactly.
+
+    counter is called on every q in [q_min, q_max] (restricted to values
+    coprime to ``coprime_to`` when given) and must return exact integers.
+    """
+    limit = Fraction(limit)
+    bound = Fraction(bound_constant)
+    ok = True
+    checked = 0
+    worst = Fraction(0)
+    last_q = None
+    last_gap = None
+    for q in range(q_min, q_max + 1):
+        if coprime_to is not None and math.gcd(q, coprime_to) != 1:
+            continue
+        gap = abs(Fraction(counter(q), q**exponent) - limit)
+        checked += 1
+        last_q, last_gap = q, gap
+        worst = max(worst, gap * q)
+        if gap > bound / q:
+            ok = False
+    if last_q is None:
+        raise ValueError("empty q range")
+    return AsymptoticReport(
+        exponent, limit, bound, checked, last_q, last_gap, worst, ok
+    )
+
+
+def solve(rows, rhs) -> tuple[Fraction, ...] | None:
+    """One exact solution of rows @ x = rhs by Gauss-Jordan elimination.
+
+    None if the system is inconsistent; free variables are set to zero.
+    """
+    ncols = len(rows[0])
+    echelon, pivots = _rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = echelon[r][ncols]
+    return tuple(x)

@@ -18,7 +18,6 @@ import oracles
 from nsg import (
     PathSystem,
     Semigroup,
-    asymptotic_ratio_check,
     build_cone,
     closed_form_reference,
     count_admissible,
@@ -28,12 +27,8 @@ from nsg import (
     fit,
     from_generators,
     genus_count_series,
-    interior_shift_check,
     leading_coefficient_report,
     predict_quasi_period,
-    sigma_star_set,
-    verify_interior_identity,
-    verify_medim_identity,
     verify_path_recursions,
 )
 from nsg.closed_forms import (
@@ -46,6 +41,13 @@ from nsg.closed_forms import (
     symmetric_step_4,
 )
 from nsg.counting import _walk
+from oracles import (
+    asymptotic_ratio_check,
+    interior_shift_check,
+    sigma_star_set,
+    verify_interior_identity,
+    verify_medim_identity,
+)
 
 F = Fraction
 

@@ -156,6 +156,39 @@ def test_fit_bad_shape_fails_with_one(capsys):
     assert "fit failed" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--p", "5", "--genus", "5..3"),
+        ("count", "--p", "5", "--contains", "9..3"),
+        ("enumerate", "--p", "5", "--genus", "4..2"),
+    ],
+)
+def test_empty_range_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--p", "7", "--target", "G"),
+        ("--p", "4", "--target", "G", "--samples", str(cli.MAX_FIT_SAMPLES + 1)),
+    ],
+)
+def test_fit_over_sample_budget_is_refused_before_sampling(monkeypatch, capsys, argv):
+    def no_sampling(*args):
+        raise AssertionError("a refused fit must not count anything")
+
+    monkeypatch.setattr(cli.counting, "genus_count_series", no_sampling)
+    code, out, err = run_cli(capsys, "fit", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"budget of {cli.MAX_FIT_SAMPLES}" in err
+
+
 def test_table_matches_golden_file(capsys):
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     for name in cli.TABLE_NAMES:

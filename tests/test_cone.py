@@ -10,13 +10,11 @@ from nsg import (
     UnsupportedP,
     build_cone,
     edges_of_cone_star,
-    interior_shift_check,
-    sigma_star_set,
 )
 from nsg import counting
-from nsg.cone import interior_shift_witness, star_inequalities
+from nsg.cone import star_inequalities
 from nsg.counting import _walk
-from oracles import rank
+from oracles import interior_shift_check, interior_shift_witness, rank, sigma_star_set
 
 
 def test_build_cone_p3():

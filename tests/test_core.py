@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 import oracles
 from nsg import (
     FrobeniusOfN,
-    GapSet,
     NonCoprimeGenerators,
     PNotInSemigroup,
     Semigroup,
@@ -13,6 +12,7 @@ from nsg import (
     from_generators,
 )
 from nsg.counting import _walk
+from oracles import GapSet
 
 
 def test_from_generators_canonical_form():

@@ -7,20 +7,17 @@ from hypothesis import strategies as st
 
 import oracles
 from nsg import (
-    CountTable,
     NotCoprime,
     count_by_genus,
     count_containing,
-    cumulative_by_genus,
     enumerate_by_genus,
     genus_count_series,
-    verify_interior_identity,
-    verify_medim_identity,
 )
 from nsg import closed_forms, counting
 from nsg.cone import build_cone
 from nsg.core import Semigroup, _is_pseudo_symmetric_mu, _is_symmetric_mu
 from nsg.counting import containment_caps, genus_window
+from oracles import cumulative_by_genus, verify_interior_identity, verify_medim_identity
 
 
 def test_enumerate_small_slices():
@@ -225,24 +222,11 @@ def test_workers_below_one_rejected(workers):
         count_containing(3, 7, workers=workers)
 
 
-def test_count_table_validation():
-    t = CountTable("genus counts", 3, "all", {0: 1, 1: 1})
-    assert t.indices() == [0, 1]
-    with pytest.raises(ValueError):
-        CountTable("bad", 3, "all", {0: -1})
-    with pytest.raises(ValueError):
-        CountTable("bad", 3, "nope", {0: 1})
-
-
 def test_table_constructors():
-    from nsg import containment_table, genus_table
-
-    gt = genus_table(4, 8)
-    assert gt.indices() == list(range(9))
-    assert [gt.values[g] for g in gt.indices()] == [1, 1, 2, 3, 4, 5, 7, 8, 10]
-    ct = containment_table(3, 14, "sym")
-    assert ct.indices() == [1, 2, 4, 5, 7, 8, 10, 11, 13, 14]
-    assert ct.values[14] == 8
+    assert genus_count_series(4, 8) == [1, 1, 2, 3, 4, 5, 7, 8, 10]
+    ct = {q: count_containing(3, q, "sym") for q in range(1, 15) if math.gcd(3, q) == 1}
+    assert list(ct) == [1, 2, 4, 5, 7, 8, 10, 11, 13, 14]
+    assert ct[14] == 8
 
 
 # Walks small enough for the plain depth-first oracle: the containment caps

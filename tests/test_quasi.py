@@ -10,17 +10,16 @@ from nsg import (
     InsufficientSamples,
     QuasiPolynomial,
     VerificationMismatch,
-    asymptotic_ratio_check,
     count_containing,
-    cumulative_by_genus,
     difference,
     fit,
     genus_count_series,
     leading_coefficient_report,
-    partial_sum,
     predict_quasi_period,
     shift,
 )
+import oracles
+from oracles import asymptotic_ratio_check, cumulative_by_genus, partial_sum
 
 F = Fraction
 
@@ -275,3 +274,52 @@ def test_operator_identities(qp):
     for n in range(2 * qp.period + 4):
         assert delta.evaluate(n) == qp.evaluate(n + 1)
         assert total.evaluate(n) == sum(qp.evaluate(k) for k in range(n + 1))
+
+
+def _eval_low_to_high(coeffs, n):
+    return sum(c * n**k for k, c in enumerate(coeffs))
+
+
+def _solve_vandermonde(values, nodes):
+    rows = [[F(n) ** k for k in range(len(nodes))] for n in nodes]
+    return list(oracles.solve(rows, [values[n] for n in nodes]))
+
+
+def _reference_fit(values, period, degree):
+    """Constituents of the Gauss-Jordan fit, or the name of the error it meets."""
+    constituents = []
+    for r in range(period):
+        ns = range(r, len(values), period)
+        if len(ns) < degree + 2:
+            return "InsufficientSamples"
+        coeffs = _solve_vandermonde(values, ns[: degree + 1])
+        if any(_eval_low_to_high(coeffs, n) != values[n] for n in ns[degree + 1 :]):
+            return "VerificationMismatch"
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        constituents.append(tuple(coeffs))
+    return tuple(constituents)
+
+
+@given(period=st.integers(1, 6), degree=st.integers(0, 5), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_interpolation_matches_gauss_jordan_solve(period, degree, data):
+    # Random samples, one too few for the last class or enough.  When
+    # consistent is drawn, every sample past the first degree + 1 of a class
+    # is moved onto that class's reference polynomial, so that the fit both
+    # passes and fails.
+    size = data.draw(st.integers(period * (degree + 2) - 1, period * (degree + 3)))
+    fractions = st.builds(F, st.integers(-50, 50), st.integers(1, 7))
+    values = data.draw(st.lists(fractions, min_size=size, max_size=size))
+    if data.draw(st.booleans(), label="consistent"):
+        for r in range(period):
+            ns = range(r, size, period)
+            coeffs = _solve_vandermonde(values, ns[: degree + 1])
+            for n in ns[degree + 1 :]:
+                values[n] = _eval_low_to_high(coeffs, n)
+    expected = _reference_fit(values, period, degree)
+    try:
+        got = fit(values, period, degree).constituents
+    except (InsufficientSamples, VerificationMismatch) as err:
+        got = type(err).__name__
+    assert got == expected
