@@ -7,10 +7,14 @@ mu has one entry per nonzero residue class modulo p and the least semigroup
 element congruent to i is i + mu[i-1] * p.  The vector determines the
 semigroup completely: membership, genus (number of gaps), Frobenius number
 (largest gap), multiplicity and embedding dimension are all read off from it.
+The vector of a generated semigroup comes from shortest paths over the
+residues, and its minimal generators from the cone inequalities it meets with
+equality.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -30,38 +34,24 @@ class FrobeniusOfN(ValueError):
     """The full semigroup of all nonnegative integers has no largest gap."""
 
 
-def _closure_upto(gens: list[int], bound: int) -> bytearray:
-    """Membership table of the additive closure of ``gens`` on 0..bound."""
-    hit = bytearray(bound + 1)
-    hit[0] = 1
-    for g in gens:
-        for n in range(g, bound + 1):
-            if hit[n - g]:
-                hit[n] = 1
-    return hit
+def _class_minima(gens: list[int], m: int) -> list[int]:
+    """Least element of <gens> in each residue class mod m.
 
-
-def _conductor(hit: bytearray, multiplicity: int) -> int | None:
-    """Least c with c..c+multiplicity-1 all members (so everything above is)."""
-    run = 0
-    for n, member in enumerate(hit):
-        run = run + 1 if member else 0
-        if run == multiplicity:
-            return n - multiplicity + 1
-    return None
-
-
-def _sieve(gens: list[int], bound: int, reach: int) -> bytearray:
-    """Membership table of <gens> reaching reach past its conductor.
-
-    The table starts at 0..bound and doubles until the conductor shows.
+    Shortest paths over the residues, where a step by g costs g (Nijenhuis's
+    minimal-path algorithm).  Every class is reached when gcd(gens) = 1.
     """
-    while True:
-        hit = _closure_upto(gens, bound)
-        conductor = _conductor(hit, gens[0])
-        if conductor is not None and conductor + reach <= bound:
-            return hit
-        bound *= 2
+    least: list = [None] * m
+    heap = [(0, 0)]
+    while heap:
+        n, r = heapq.heappop(heap)
+        if least[r] is not None:
+            continue
+        least[r] = n
+        for g in gens:
+            s = (r + g) % m
+            if least[s] is None:
+                heapq.heappush(heap, (n + g, s))
+    return least
 
 
 def _apery_elements(p: int, mu: tuple[int, ...]) -> tuple[int, ...]:
@@ -139,17 +129,22 @@ class Semigroup:
         return min(self.p, min(self.apery_elements()))
 
     def minimal_generators(self) -> tuple[int, ...]:
-        """Elements of the unique minimal generating set, sorted."""
-        candidates = sorted({self.p, *self.apery_elements()})
-        gens = []
-        for x in candidates:
-            decomposable = any(
-                self.contains(a) and self.contains(x - a)
-                for a in range(1, x // 2 + 1)
-            )
-            if not decomposable:
-                gens.append(x)
-        return tuple(gens)
+        """Elements of the unique minimal generating set, sorted.
+
+        An Apéry element w_k is a generator unless it is w_i + w_j, which is
+        the cone inequality (i, j, k, c) holding with equality.  p is one
+        unless it is w_i + w_{p-i} with both below p, i.e. mu_i = mu_{p-i} = 0.
+        """
+        p, mu = self.p, self.mu
+        sums = {
+            k
+            for i, j, k, c in build_cone(p).inequalities
+            if mu[i - 1] + mu[j - 1] - mu[k - 1] == c
+        }
+        gens = [w for k, w in enumerate(self.apery_elements(), 1) if k not in sums]
+        if not any(mu[i - 1] == mu[p - i - 1] == 0 for i in range(1, p)):
+            gens.append(p)
+        return tuple(sorted(gens))
 
     def embedding_dimension(self) -> int:
         return len(self.minimal_generators())
@@ -171,9 +166,8 @@ def from_generators(gens, p: int) -> Semigroup:
     """Canonical representation of the semigroup generated by ``gens``.
 
     The generators must be positive with overall gcd 1, and p must itself be
-    an element of the generated semigroup.  Membership is sieved up to a
-    bound that is grown until the conductor is visible, so the extracted
-    class minima are always final.
+    an element of the generated semigroup.  The class minima modulo the
+    least generator decide whether p is; those modulo p give mu.
     """
     gen_list = sorted({int(g) for g in gens})
     if not gen_list or gen_list[0] <= 0:
@@ -183,13 +177,7 @@ def from_generators(gens, p: int) -> Semigroup:
     p = int(p)
     if p < 3:
         raise ValueError("p must be at least 3")
-    hit = _sieve(gen_list, max(p, p * gen_list[-1]), p - 1)
-    if not hit[p]:
+    if p < _class_minima(gen_list, gen_list[0])[p % gen_list[0]]:
         raise PNotInSemigroup(f"{p} is not generated by {gen_list}")
-    mu = []
-    for i in range(1, p):
-        n = i
-        while not hit[n]:
-            n += p
-        mu.append((n - i) // p)
-    return Semigroup(p, tuple(mu))
+    least = _class_minima(gen_list, p)
+    return Semigroup(p, tuple((least[i] - i) // p for i in range(1, p)))

@@ -407,7 +407,6 @@ def genus_count_series(p: int, g_max: int, class_filter: str = "all") -> list[in
     return genus_window(p, 0, g_max, class_filter)
 
 
-@lru_cache(maxsize=1024)  # keyed by q, so a long sweep would grow it without end
 def containment_caps(p: int, q: int) -> tuple[int, ...]:
     """Coordinatewise caps for semigroups containing both p and q.
 

@@ -268,14 +268,14 @@ def iter_admissible(system: PathSystem, h0_max=None):
         yield LatticePath.from_heights(heights)
 
 
-def _semigroup_from_widths(system: PathSystem, w) -> core.Semigroup:
+def _mu_from_widths(system: PathSystem, w) -> tuple[int, ...]:
     """The class of k*q mod p has least element k*q - w_{p-k}*p."""
     p, q = system.p, system.q
     mu = [0] * (p - 1)
     for k in range(1, p):
         least = k * q - w[p - k] * p
         mu[least % p - 1] = least // p
-    return core.Semigroup(p, mu)
+    return tuple(mu)
 
 
 def _semigroup_from_heights(system: PathSystem, heights) -> core.Semigroup:
@@ -284,7 +284,7 @@ def _semigroup_from_heights(system: PathSystem, heights) -> core.Semigroup:
         w[h] += 1
     for k in range(system.p - 1, 0, -1):
         w[k] += w[k + 1]  # now the number of columns of height at least k
-    return _semigroup_from_widths(system, w)
+    return core.Semigroup(system.p, _mu_from_widths(system, w))
 
 
 def semigroup_from_path(system: PathSystem, path: LatticePath) -> core.Semigroup:
@@ -297,26 +297,20 @@ def semigroup_from_path(system: PathSystem, path: LatticePath) -> core.Semigroup
 
 
 def path_from_semigroup(system: PathSystem, s: core.Semigroup) -> LatticePath:
-    """The staircase whose points are the gaps of <p, q> closed by s."""
+    """The staircase whose points are the gaps of <p, q> closed by s.
+
+    Row p - k holds the gaps k*q - a*p, a >= 1, of the class of k*q mod p.
+    Those in s are the ones at or above its least element there, so the
+    row's width is floor(k*q / p) minus the mu entry of that class: the
+    inverse of _mu_from_widths.
+    """
     p, q = system.p, system.q
     if s.p != p:
         raise ValueError(f"semigroup is based at {s.p}, system at {p}")
     if not s.contains(q):
         raise NotContainingQ(f"semigroup does not contain {q}")
-    columns: dict[int, set[int]] = {}
-    for a, b in system.triangle_points():
-        if s.contains(system.gap_of_point(a, b)):
-            columns.setdefault(a, set()).add(b)
-    if not columns:
-        return LatticePath((), frozenset())
-    ncols = max(columns) + 1
-    heights = []
-    for a in range(ncols):
-        rows = columns.get(a, set())
-        if rows != set(range(len(rows))):
-            raise ValueError("closed gaps do not form a staircase")
-        heights.append(len(rows))
-    return LatticePath.from_heights(heights)
+    w = [k * q // p - s.mu[k * q % p - 1] for k in range(p - 1, 0, -1)]
+    return LatticePath.from_heights(sum(a < v for v in w) for a in range(w[0]))
 
 
 @dataclass(frozen=True)
@@ -365,10 +359,10 @@ def verify_path_recursions(p: int, q_max: int) -> PathRecursionReport:
         new_total = new_sym = new_psym = 0
         for w, last in _walk_rows(system, h0_max=p - 2):
             for w[-1] in last:
-                s = _semigroup_from_widths(system, w)
+                mu = _mu_from_widths(system, w)
                 new_total += 1
-                new_sym += s.is_symmetric()
-                new_psym += s.is_pseudo_symmetric()
+                new_sym += core._is_symmetric_mu(p, mu)
+                new_psym += core._is_pseudo_symmetric_mu(p, mu)
         rows.append(
             RecursionRow(
                 q=q,

@@ -11,7 +11,7 @@ from nsg import (
     build_cone,
     from_generators,
 )
-from nsg.counting import _walk
+from nsg.counting import _walk, containment_caps
 from oracles import GapSet
 
 
@@ -191,3 +191,74 @@ def test_from_generators_random_sets(gens, extra):
     assert s.genus() == len(oracles.sieve_gaps(gens))
     regenerated = from_generators(s.minimal_generators(), p)
     assert regenerated.mu == s.mu
+
+
+def _decomposition_generators(s):
+    """Minimal generators by splitting each candidate x as a + (x - a).
+
+    The decomposition that minimal_generators replaced, kept as its reference.
+    """
+    candidates = sorted({s.p, *s.apery_elements()})
+    return tuple(
+        x
+        for x in candidates
+        if not any(s.contains(a) and s.contains(x - a) for a in range(1, x // 2 + 1))
+    )
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6, 7])
+def test_minimal_generators_match_decomposition(p):
+    # every semigroup containing p up to genus 8
+    for mu in _walk(p, (8,) * (p - 1), max_total=8):
+        s = Semigroup(p, mu)
+        assert s.minimal_generators() == _decomposition_generators(s), mu
+
+
+@given(
+    gens=st.sets(st.integers(min_value=1, max_value=40), min_size=1, max_size=4),
+    p=st.integers(min_value=3, max_value=12),
+)
+@settings(max_examples=150, deadline=None)
+def test_minimal_generators_of_generated_semigroups(gens, p):
+    try:
+        s = from_generators(gens, p)
+    except (NonCoprimeGenerators, PNotInSemigroup):
+        return
+    assert s.minimal_generators() == _decomposition_generators(s)
+    assert set(s.minimal_generators()) <= set(gens) | {p}
+
+
+@given(
+    gens=st.sets(st.integers(min_value=2, max_value=25), min_size=2, max_size=4),
+    where=st.sampled_from(("below", "least", "above", "past")),
+    offset=st.integers(min_value=0, max_value=30),
+)
+@settings(max_examples=200, deadline=None)
+def test_from_generators_with_independent_p(gens, where, offset):
+    import math
+    from functools import reduce
+
+    if reduce(math.gcd, gens) != 1:
+        return
+    least, top = min(gens), max(gens)
+    p = {
+        "below": 3 + offset % max(1, least - 3),
+        "least": least,
+        "above": least + 1 + offset,
+        "past": top + 1 + offset,
+    }[where]
+    if p < 3:
+        return
+    if not oracles.sieve_members(gens, p)[p]:
+        with pytest.raises(PNotInSemigroup):
+            from_generators(gens, p)
+        return
+    assert list(from_generators(gens, p).apery_elements()) == oracles.sieve_apery(gens, p)
+
+
+def test_huge_generator_is_exact_at_once():
+    q = 10**12 + 1
+    s = from_generators({3, q}, 3)
+    assert s.mu == (666666666667, 333333333333)
+    assert s.minimal_generators() == (3, q)
+    assert containment_caps(3, q) == s.mu

@@ -365,8 +365,3 @@ def test_class_tasks_are_loci(monkeypatch):
         assert count_containing(6, 47, cls, workers=2) == serial[cls]
         assert parts == list(range(len(counting._class_loci(6, cls))))
     assert sizes == [2, 2]
-
-
-def test_containment_caps_cache_is_bounded():
-    info = containment_caps.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize

@@ -277,3 +277,47 @@ def test_row_walk_matches_column_walk(case):
 def test_row_walk_counts_a_large_triangle():
     # 1,320,645 staircases: counting them must not build one tuple each
     assert count_admissible(PathSystem(7, 60)) + 1 == count_containing(7, 60) == 1320646
+
+
+def _triangle_scan_path(system, s):
+    """Staircase of the triangle points whose gaps s contains, point by point.
+
+    The scan that path_from_semigroup replaced, kept as its reference.
+    """
+    columns = {}
+    for a, b in system.triangle_points():
+        if s.contains(system.gap_of_point(a, b)):
+            columns.setdefault(a, set()).add(b)
+    heights = []
+    for a in range(max(columns, default=-1) + 1):
+        rows = columns.get(a, set())
+        assert rows == set(range(len(rows))), "closed gaps do not form a staircase"
+        heights.append(len(rows))
+    return LatticePath.from_heights(heights)
+
+
+def _coprime_pairs(q_max):
+    return [
+        (p, q) for p in range(3, 8) for q in range(p + 1, q_max + 1) if math.gcd(p, q) == 1
+    ]
+
+
+@pytest.mark.parametrize("p,q", _coprime_pairs(16))
+def test_path_from_semigroup_matches_triangle_scan(p, q):
+    # every semigroup containing p and q
+    system = PathSystem(p, q)
+    for heights in [(), *_iter_admissible_heights(system)]:
+        s = _semigroup_from_heights(system, heights)
+        assert path_from_semigroup(system, s) == _triangle_scan_path(system, s)
+
+
+@given(
+    pq=st.sampled_from(_coprime_pairs(40)),
+    extra=st.sets(st.integers(min_value=1, max_value=80), max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_path_from_semigroup_matches_triangle_scan_drawn(pq, extra):
+    p, q = pq
+    system = PathSystem(p, q)
+    s = from_generators({p, q, *extra}, p)
+    assert path_from_semigroup(system, s) == _triangle_scan_path(system, s)
