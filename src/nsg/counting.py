@@ -8,11 +8,16 @@ semigroup itself, whose class minima dominate those of every supersemigroup).
 The walk assigns coordinates in index order.  Every inequality becomes an
 interval constraint on its highest-index coordinate once the lower ones are
 fixed, so each search node scans the feasible range.  The last two
-coordinates are resolved together: once the others are fixed, the bounds on
-the last one are affine in the one before it, so that one is looped over
-inline and the last is a closed range.  That range is added to a difference
-array over sums instead of being iterated, so a whole genus window is
-counted in one walk.
+coordinates are not walked: once the others are fixed they lie in a polygon
+whose edges have slopes 0, 1, -1, 2 and 1/2.  Split where its top and its
+bottom edge change slope, it is counted in closed form, a sum of arithmetic
+progressions and floor sums (Beck & Robins, "Computing the Continuous
+Discretely", ch. 1).  A genus window adds the same pieces to difference
+arrays over sums, one per stride of the sum along an edge, so a whole window
+is counted in one walk without visiting a point.  The coordinate before
+them is bounded by the same kind of lines, so a prefix that leaves x_{n-1}
+no value, or whose least completion overshoots the window, is cut before it
+is expanded.
 
 Symmetric and pseudo-symmetric semigroups are not found by testing points:
 each class lies on a few affine loci of dimension about p/2, one per residue
@@ -25,7 +30,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 
 from . import core
@@ -100,27 +105,28 @@ def _bounds(d, mu, total, caps, rules, low, high):
     return lo, hi
 
 
-def _walk(p, caps, min_total=0, max_total=None, strict=False, first=None, diff=None):
+def _walk(p, caps, min_total=0, max_total=None, strict=False, first=None, leaf=None):
     """Walk the lattice points under caps in the cone, or its interior if strict.
 
-    Only points whose sum lies in min_total..max_total are visited; first
-    fixes x_1, to split work across processes.  Without diff, yield each
-    point in lexicographic order.  With diff, yield nothing and add each run
-    of points with one prefix to the difference array diff, whose index 0
-    stands for the sum min_total.
+    Only points whose sum lies in min_total..max_total are visited; first,
+    a pair (a, b), keeps x_1 in a..b, to split work across processes.
+    Without leaf, return the points in lexicographic order.  With leaf,
+    return nothing and hand leaf each prefix's polygon instead.
 
     Coordinates x_1..x_{n-2} (n = p - 1) are walked depth first, each over
-    the range _bounds gives.  Once they are fixed, every bound on x_n is
-    affine in x = x_{n-1}, or half of it:
+    the range _bounds gives.  Once they are fixed, with sum total, every
+    bound on x_n is affine in x = x_{n-1}, or half of it:
         x_n <= min(A, x + B, 2x + C, K - x)
         x_n >= max(D, F - x, ceil((x + G) / 2))
-    so the coefficients are worked out once and x is looped over inline.
+    for x in lo..xmax.  leaf gets (total - min_total, lo, xmax, A, B, C, D,
+    F, G, K); only the listing loops over the points themselves.
     """
     low, high = min_total, sum(caps) if max_total is None else max_total
     rules = _depth_rules(p, strict)
     n = p - 1
     m = n - 1
     mu = [0] * n
+    points = []
     # Sort the rules of x_n by how x enters them.  The one single is
     # 2 x_n >= x + G (2n mod p = n - 1), and a lower bound
     # x_i + x_n >= x_k + c has k = i - 1, so x enters it only as x_i.
@@ -131,15 +137,46 @@ def _walk(p, caps, min_total=0, max_total=None, strict=False, first=None, diff=N
     flat = [(i, k, c) for i, k, c in lowers if i != m]
     falling = [(k, c) for i, k, c in lowers if i == m]
     far = high + 1  # an absent bound: x + far and 2x + far exceed K - x
+    # The rules of x_{n-1}, sorted by how v = x_{n-2} enters them: not at
+    # all (its single, k = n - 3, the lowers with i < n - 2 and the uppers
+    # without v), as + v (the upper x_1 + v - c) or as - v (the lower
+    # x_k + c - v).  With 2 x_n >= x_{n-1} + G and the sum cap they bound v,
+    # so that no prefix is expanded whose completion cannot fit.
+    uppers, singles, lowers = rules[m]
+    singles = [(k, c) for k, c in singles if k < m - 1]
+    fixed = [(i, k, c) for i, k, c in lowers if i < m - 1]
+    falls = [(k, c) for i, k, c in lowers if i == m - 1]
+    tops = [(i, j, c) for i, j, c in uppers if m - 1 not in (i, j)]
+    rises = [(i + j - m + 1, c) for i, j, c in uppers if (i == m - 1) != (j == m - 1)]
 
     def rec(d, total):
         lo, hi = _bounds(d, mu, total, caps, rules, low, high)
         if d == 1 and first is not None:
-            lo, hi = max(lo, first), min(hi, first)
+            lo, hi = max(lo, first[0]), min(hi, first[1])
         if d < m:
+            if d == m - 1:
+                # max(least, fall - v) <= x_{n-1} <= min(top, v + rise)
+                least, fall, top, rise = 0, -high, caps[m - 1], high
+                for k, c in singles:
+                    least = max(least, (mu[k - 1] + c + 1) // 2)
+                for i, k, c in fixed:
+                    least = max(least, mu[k - 1] + c - mu[i - 1])
+                for k, c in falls:
+                    fall = max(fall, mu[k - 1] + c)
+                for i, j, c in tops:
+                    top = min(top, mu[i - 1] + mu[j - 1] - c)
+                for k, c in rises:
+                    rise = min(rise, mu[k - 1] - c)
+                K = high - total
+                if least > top or fall > K:
+                    return
+                # x_{n-1} has a value and x_{n-1} + x_n <= K - v can hold
+                lo = max(lo, least - rise, fall - top, -((rise - fall) // 2),
+                         3 * fall + G - 2 * K)
+                hi = min(hi, K - least - max(0, (least + G + 1) // 2))
             for v in range(lo, hi + 1):
                 mu[d - 1] = v
-                yield from rec(d + 1, total + v)
+                rec(d + 1, total + v)
             return
         if lo > hi:
             return
@@ -151,26 +188,151 @@ def _walk(p, caps, min_total=0, max_total=None, strict=False, first=None, diff=N
         F = max([low - total] + [mu[k - 1] + c for k, c in falling])
         K = high - total
         # x + x_n <= K fails past this, since x_n >= D and 2 x_n >= x + G.
-        for x in range(lo, min(hi, K - D, (2 * K - G) // 3) + 1):
-            top = A if A < x + B else x + B
-            if 2 * x + C < top:
-                top = 2 * x + C
-            if K - x < top:
-                top = K - x
-            bottom = D if D > F - x else F - x
-            if (x + G + 1) // 2 > bottom:
-                bottom = (x + G + 1) // 2
-            if bottom > top:
-                continue
-            if diff is not None:
-                diff[total - low + x + bottom] += 1
-                diff[total - low + x + top + 1] -= 1
-                continue
+        xmax = min(hi, K - D, (2 * K - G) // 3)
+        if xmax < lo:
+            return
+        if leaf is not None:
+            leaf(total - low, lo, xmax, A, B, C, D, F, G, K)
+            return
+        for x, bottom, top in _columns(lo, xmax, A, B, C, D, F, G, K):
             mu[m - 1] = x
             for mu[n - 1] in range(bottom, top + 1):
-                yield tuple(mu)
+                points.append(tuple(mu))
 
-    yield from rec(1, 0)
+    rec(1, 0)
+    return points
+
+
+def _polygon(lo, xmax, A, B, C, D, F, G, K):
+    """The lattice points (x, y) with lo <= x <= xmax and
+        y <= min(A, x + B, 2x + C, K - x) and 2y >= max(2D, 2F - 2x, x + G).
+
+    Returns (tops, bottoms), each a list of runs (a, b, slope, b0) of x that
+    cover the same range xl..xr of the x with points.  On a top run y <= slope
+    x + b0; on a bottom run 2y >= slope x + b0, with slope -2, 0 or 1.  Both
+    lists are empty if no x has a point.
+
+    y has a value exactly where every upper line lies on or above every
+    lower one, a linear inequality in x per pair, so those x form one range.
+    Over it, the upper bound is a minimum of lines, so its active line only
+    ever moves to a smaller slope as x grows, and the lower bound's only to a
+    larger one; each line ends where it first crosses a later one.
+    """
+    xl = max(lo, F - A, D - B, G - 2 * B, -((B - F) // 2),
+             -((C - D) // 2), -((2 * C - G) // 3), -((C - F) // 3))
+    xr = min(xmax, 2 * A - G, K - D, (2 * K - G) // 3)
+    if xl > xr or A < D or K < F:
+        return [], []
+    tops, bottoms = [], []
+    for out, lines in (
+        (tops, ((min(B - C, (A - C) // 2, (K - C) // 3), 2, C),
+                (min(A - B, (K - B) // 2), 1, B), (K - A, 0, A), (xr, -1, K))),
+        (bottoms, ((min(F - D, (2 * F - G) // 3), -2, 2 * F), (2 * D - G, 0, 2 * D), (xr, 1, G))),
+    ):
+        a = xl
+        for b, slope, b0 in lines:  # b: the last x where this line is the bound
+            if b >= a:
+                b = min(b, xr)
+                out.append((a, b, slope, b0))
+                if b == xr:
+                    break
+                a = b + 1
+    return tops, bottoms
+
+
+def _half_sum(n):
+    """Sum of floor(k / 2) over k = 0..n, extended so that each step adds floor(n / 2)."""
+    return (n // 2) * ((n + 1) // 2)
+
+
+# Up to this many values of x, looping over them costs less than splitting
+# their polygon into runs.  Timed per polygon of the p = 5..7 walks (CPython
+# 3.11): one value costs about 1.5 us by the loop and 3.3 us as runs, the two
+# meet at 10 to 12 values, and past 40 the runs cost a quarter of the loop.
+SHORT_RANGE = 12
+
+
+def _columns(lo, xmax, A, B, C, D, F, G, K):
+    """(x, least y, greatest y) for each x in lo..xmax with a point (x, y),
+    y <= min(A, x + B, 2x + C, K - x) and y >= max(D, F - x, ceil((x + G) / 2))."""
+    for x in range(lo, xmax + 1):
+        top = A if A < x + B else x + B
+        if 2 * x + C < top:
+            top = 2 * x + C
+        if K - x < top:
+            top = K - x
+        bottom = D if D > F - x else F - x
+        if (x + G + 1) // 2 > bottom:
+            bottom = (x + G + 1) // 2
+        if bottom <= top:
+            yield x, bottom, top
+
+
+def _polygon_count(lo, xmax, A, B, C, D, F, G, K):
+    """Number of lattice points of the polygon of _polygon."""
+    if xmax - lo < SHORT_RANGE:
+        return sum(top - bottom + 1 for _, bottom, top in _columns(lo, xmax, A, B, C, D, F, G, K))
+    tops, bottoms = _polygon(lo, xmax, A, B, C, D, F, G, K)
+    count = 0
+    for a, b, slope, b0 in tops:
+        c = b - a + 1
+        count += c * (b0 + 1) + slope * (a + b) * c // 2
+    for a, b, slope, b0 in bottoms:
+        c = b - a + 1
+        if slope == 1:
+            count -= _half_sum(b + b0 + 1) - _half_sum(a + b0)
+        else:
+            count -= (b0 * c + slope * (a + b) * c // 2) // 2
+    return count
+
+
+def _polygon_runs(runs, offset, lo, xmax, A, B, C, D, F, G, K):
+    """Add the points (x, y) of the polygon of _polygon to runs by offset + x + y.
+
+    runs[s] is a difference array of stride s: an entry v at i adds v to
+    the differences at i, i + s, i + 2s, ...  Each x adds one at its least
+    sum and takes one off past its greatest, and along a run these indices
+    step by a fixed stride, the slope of the bound plus one.  A half-slope
+    lower bound steps by 3 over every other x, so each parity of x is a run.
+    """
+    if xmax - lo < SHORT_RANGE:
+        diff = runs[0]
+        for x, bottom, top in _columns(lo, xmax, A, B, C, D, F, G, K):
+            diff[offset + x + bottom] += 1
+            diff[offset + x + top + 1] -= 1
+        return
+    tops, bottoms = _polygon(lo, xmax, A, B, C, D, F, G, K)
+    for a, b, slope, b0 in tops:
+        s = slope + 1
+        i = offset + b0 + 1 + s * a
+        if s:
+            runs[s][i] -= 1
+            runs[s][i + s * (b - a + 1)] += 1
+        else:
+            runs[0][i] -= b - a + 1
+    for a, b, slope, b0 in bottoms:
+        if slope == 1:
+            for x in (a, a + 1):
+                k = (b - x) // 2 + 1
+                if k > 0:
+                    i = offset + (3 * x + b0 + 1) // 2
+                    runs[3][i] += 1
+                    runs[3][i + 3 * k] -= 1
+        elif slope == 0:
+            i = offset + b0 // 2 + a
+            runs[1][i] += 1
+            runs[1][i + b - a + 1] -= 1
+        else:
+            runs[0][offset + b0 // 2] += b - a + 1
+
+
+def _fold_runs(runs, size):
+    """Counts by sum index 0..size-1 from the strided difference arrays."""
+    for s in (1, 2, 3):
+        run = runs[s]
+        for r in range(s):
+            run[r::s] = accumulate(run[r::s])
+    return list(accumulate(map(sum, zip(*runs))))[:size]
 
 
 @dataclass(frozen=True)
@@ -323,31 +485,45 @@ def _locus_walk(locus, caps, low, high, out=None):
 
 
 def _count_task(task):
-    """Counts of the points of one walk with each sum low..high.
+    """Counts of the points of one walk with each sum low..high, or their total.
 
-    part is None for the whole walk, or one share of a split: the value of
-    x_1 for 'all'/'medim', the index of one locus for 'sym'/'psym'.
+    part is None for the whole walk, or one share of a split: a range (a, b)
+    of x_1 for 'all'/'medim', the index of one locus for 'sym'/'psym'.
     """
-    p, caps, low, high, class_filter, part = task
+    p, caps, low, high, class_filter, total, part = task
     if class_filter in ("all", "medim"):
-        diff = [0] * (high - low + 2)
-        for _ in _walk(p, caps, low, high, class_filter == "medim", part, diff):
-            pass  # with diff the walk yields nothing and only fills it
-        return list(accumulate(diff[:-1]))
+        strict = class_filter == "medim"
+        if total:
+            count = 0
+
+            def add(offset, *polygon):
+                nonlocal count
+                count += _polygon_count(*polygon)
+
+            _walk(p, caps, low, high, strict, part, add)
+            return count
+        runs = [[0] * (high - low + 5) for _ in range(4)]
+        _walk(p, caps, low, high, strict, part, partial(_polygon_runs, runs))
+        return _fold_runs(runs, high - low + 1)
     loci = _class_loci(p, class_filter)
     out = [0] * (high - low + 1)
     for locus in loci if part is None else loci[part : part + 1]:
         for _ in _locus_walk(locus, caps, low, high, out):
             pass  # with out the walk yields nothing and only fills it
-    return out
+    return sum(out) if total else out
 
 
-def _counted(p, caps, low, high, class_filter, workers):
-    """Counts for each sum low..high, serially or split into tasks.
+# Tasks per process when x_1 is split: a few, so that an uneven share of the
+# walk still leaves work for the others, but not one per value of x_1.
+CHUNKS_PER_PROCESS = 4
 
-    'all'/'medim' split at the first coordinate, 'sym'/'psym' by locus.  The
-    pool never has more processes than CPUs or tasks; when that leaves one
-    process, the count runs in this one.
+
+def _counted(p, caps, low, high, class_filter, workers, total=False):
+    """Counts for each sum low..high, or their total, serially or split into tasks.
+
+    'all'/'medim' split x_1 into contiguous ranges, 'sym'/'psym' by locus.
+    The pool never has more processes than CPUs or tasks; when that leaves
+    one process, the count runs in this one.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -357,16 +533,25 @@ def _counted(p, caps, low, high, class_filter, workers):
         parts = min(caps[0], high) + 1
     size = min(workers, os.cpu_count() or 1, parts)
     if size == 1:
-        return _count_task((p, caps, low, high, class_filter, None))
-    tasks = [(p, caps, low, high, class_filter, f) for f in range(parts)]
-    counts = [0] * (high - low + 1)
+        return _count_task((p, caps, low, high, class_filter, total, None))
+    if class_filter in ("sym", "psym"):
+        shares = list(range(parts))
+    else:
+        chunks = min(parts, CHUNKS_PER_PROCESS * size)
+        bounds = [parts * c // chunks for c in range(chunks + 1)]
+        shares = [(a, b - 1) for a, b in zip(bounds, bounds[1:])]
+    tasks = [(p, caps, low, high, class_filter, total, share) for share in shares]
     from concurrent.futures import ProcessPoolExecutor  # only pools pay for multiprocessing
 
     with ProcessPoolExecutor(max_workers=size) as pool:
         # Add the parts up as they arrive, so that few are held at once.
-        for part in pool.map(_count_task, tasks):
+        results = pool.map(_count_task, tasks)
+        if total:
+            return sum(results)
+        counts = [0] * (high - low + 1)
+        for part in results:
             counts = [a + b for a, b in zip(counts, part)]
-    return counts
+        return counts
 
 
 def enumerate_by_genus(p: int, genus: int, class_filter: str = "all"):
@@ -424,4 +609,4 @@ def count_containing(p: int, q: int, class_filter: str = "all", workers: int = 1
     """Number of semigroups containing both p and q, optionally filtered."""
     _check_args(p, class_filter)
     caps = containment_caps(p, q)
-    return sum(_counted(p, caps, 0, sum(caps), class_filter, workers))
+    return _counted(p, caps, 0, sum(caps), class_filter, workers, total=True)

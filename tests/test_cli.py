@@ -105,6 +105,19 @@ def test_paths_long_triangle_has_no_recursion_limit(capsys, p, q, expected):
     assert out.strip().splitlines()[-1] == f"{p},{q},{expected}"
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_count_contains_huge_q(capsys, workers):
+    # x_1 takes 6.7e9 values and the sums run to 2e10: the count walks one
+    # polygon, holds no array over the sums and splits x_1 into a few ranges
+    q = 10000000001
+    code, out, err = run_cli(
+        capsys, "count", "--p", "3", "--contains", str(q), "--workers", workers
+    )
+    assert code == 0, err
+    assert out.strip().splitlines()[-1] == f"3,{q},all,{containing_count_3(q)}"
+    assert containing_count_3(q) == 8333333340000000001
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_is_usage_error(capsys, workers):
     code, out, err = run_cli(capsys, "count", "--p", "3", "--genus", "4", "--workers", workers)

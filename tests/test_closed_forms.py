@@ -46,6 +46,7 @@ def test_four_case_split_matches_floor_form():
         ("Gsym3", 3, "sym", 40),
         ("Gsym4", 4, "sym", 40),
         ("G5", 5, "all", 35),
+        ("G5", 5, "all", 239),
         ("Gsym5", 5, "sym", 35),
     ],
 )

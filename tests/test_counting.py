@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -169,10 +170,11 @@ def test_workers_do_not_change_counts():
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the pool size, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records the pool size and tasks, maps in-process."""
 
-    def __init__(self, sizes, max_workers):
+    def __init__(self, sizes, max_workers, tasks=None):
         sizes.append(max_workers)
+        self.tasks = tasks
 
     def __enter__(self):
         return self
@@ -181,14 +183,16 @@ class _RecordingPool:
         return False
 
     def map(self, fn, tasks):
+        if self.tasks is not None:
+            self.tasks.append(list(tasks))
         return map(fn, tasks)
 
 
-def _stub_pool(monkeypatch, sizes, cpus):
+def _stub_pool(monkeypatch, sizes, cpus, tasks=None):
     monkeypatch.setattr(
         concurrent.futures,
         "ProcessPoolExecutor",
-        lambda max_workers: _RecordingPool(sizes, max_workers),
+        lambda max_workers: _RecordingPool(sizes, max_workers, tasks),
     )
     monkeypatch.setattr(counting.os, "cpu_count", lambda: cpus)
 
@@ -203,6 +207,36 @@ def test_pool_size_is_clamped(monkeypatch, requested, cpus, pools):
     _stub_pool(monkeypatch, sizes, cpus)
     assert count_by_genus(4, 9, workers=requested) == count_by_genus(4, 9) == 12
     assert sizes == pools
+
+
+@pytest.mark.parametrize(
+    "count,cpus",
+    [
+        (lambda w: count_containing(3, 30001, workers=w), 2),
+        (lambda w: count_containing(3, 10000000001, workers=w), 2),
+        (lambda w: count_containing(5, 121, "medim", workers=w), 3),
+        (lambda w: genus_window(5, 20, 60, workers=w), 2),
+        (lambda w: genus_window(4, 0, 9, "medim", workers=w), 64),
+    ],
+)
+def test_first_coordinate_splits_into_few_chunks(monkeypatch, count, cpus):
+    # One task per value of x_1 would be 10,001 tasks for q = 30001 and
+    # billions for q = 10^10 + 1; each process gets a few contiguous ranges.
+    serial = count(1)
+    sizes, tasks = [], []
+    _stub_pool(monkeypatch, sizes, cpus, tasks)
+    assert count(1000) == serial
+    [size], [shares] = sizes, tasks
+    assert len(shares) <= counting.CHUNKS_PER_PROCESS * size
+    ranges = [task[-1] for task in shares]
+    assert ranges[0][0] == 0 and all(a <= b for a, b in ranges)
+    assert all(b + 1 == a for (_, b), (a, _) in zip(ranges, ranges[1:]))
+    # every share alone is counted as the serial walk counts it
+    one = [counting._count_task(task) for task in shares]
+    if isinstance(serial, int):
+        assert sum(one) == serial
+    else:
+        assert [sum(column) for column in zip(*one)] == serial
 
 
 def test_two_workers_over_six_tasks_keep_two_processes(monkeypatch):
@@ -230,9 +264,11 @@ def test_table_constructors():
 
 
 # Walks small enough for the plain depth-first oracle: the containment caps
-# of a coprime q, or a genus window low..high with low > 0.
-Q_MAX = {3: 60, 4: 40, 5: 30, 6: 24, 7: 20}
-GENUS_MAX = {3: 40, 4: 28, 5: 18, 6: 14, 7: 11}
+# of a coprime q, or a genus window low..high with low > 0.  They are large
+# enough that x_{n-1} often ranges over more than SHORT_RANGE values, so that
+# its polygon is counted in pieces, not by the loop.
+Q_MAX = {3: 400, 4: 120, 5: 60, 6: 40, 7: 28}
+GENUS_MAX = {3: 80, 4: 45, 5: 40, 6: 20, 7: 14}
 PREDICATES = {"sym": _is_symmetric_mu, "psym": _is_pseudo_symmetric_mu}
 
 
@@ -248,7 +284,10 @@ def walks(draw):
         low = draw(st.integers(1, high))
         caps = (high,) * (p - 1)
     strict = draw(st.booleans())
-    first = draw(st.none() | st.integers(0, min(caps[0], high)))
+    first = None
+    if draw(st.booleans()):
+        a = draw(st.integers(0, min(caps[0], high)))
+        first = (a, draw(st.integers(a, min(caps[0], high))))
     return p, caps, low, high, strict, first
 
 
@@ -256,29 +295,32 @@ def walks(draw):
 @settings(max_examples=120, deadline=None)
 def test_walk_matches_plain_dfs(walk, cls):
     p, caps, low, high, strict, first = walk
+    a, b = first or (0, high)
     points = [
         mu
-        for mu in oracles.dfs_iter_points(p, caps, max_total=high, strict=strict, first=first)
-        if sum(mu) >= low
+        for mu in oracles.dfs_iter_points(p, caps, max_total=high, strict=strict)
+        if sum(mu) >= low and a <= mu[0] <= b
     ]
-    # yield the vector
-    assert list(counting._walk(p, caps, low, high, strict, first)) == points
-    # add to the sum difference array
+    # list the vectors
+    assert counting._walk(p, caps, low, high, strict, first) == points
+    # count by sum, and in total
     series = oracles.dfs_sum_series(p, caps, high, strict)
-    task = (p, caps, low, high, "medim" if strict else "all", None)
+    task = (p, caps, low, high, "medim" if strict else "all", False, None)
     assert counting._count_task(task) == series[low:]
+    assert counting._count_task(task[:-2] + (True, None)) == sum(series[low:])
     if first is not None:
-        by_sum = counting._count_task(task[:-1] + (first,))
-        assert by_sum == [sum(1 for mu in points if sum(mu) == g) for g in range(low, high + 1)]
+        by_sum = [sum(1 for mu in points if sum(mu) == g) for g in range(low, high + 1)]
+        assert counting._count_task(task[:-1] + (first,)) == by_sum
+        assert counting._count_task(task[:-2] + (True, first)) == len(points)
     # filter by class
     plain = oracles.dfs_iter_points(p, caps, max_total=high)
     kept = [mu for mu in plain if sum(mu) >= low and PREDICATES[cls](p, mu)]
-    by_class = counting._count_task((p, caps, low, high, cls, None))
+    by_class = counting._count_task((p, caps, low, high, cls, False, None))
     assert by_class == [sum(1 for mu in kept if sum(mu) == g) for g in range(low, high + 1)]
     if low == 0:
-        # add the range lengths of the whole walk
+        # count the whole walk
         cls = "medim" if strict else "all"
-        assert sum(counting._counted(p, caps, 0, high, cls, 1)) == oracles.dfs_count_points(
+        assert counting._counted(p, caps, 0, high, cls, 1, total=True) == oracles.dfs_count_points(
             p, caps, strict=strict
         )
     else:
@@ -287,6 +329,77 @@ def test_walk_matches_plain_dfs(walk, cls):
             assert count_by_genus(p, g, "medim" if strict else "all") == oracles.dfs_count_points(
                 p, (g,) * (p - 1), target=g, strict=strict
             )
+
+
+@st.composite
+def polygons(draw):
+    """Raw bounds of _walk's polygon: B and C may be absent (far), F and G
+    negative, K binding or not, and the range of x empty, one value or long."""
+    lo = draw(st.integers(0, 20))
+    xmax = lo + draw(st.integers(-2, 50))
+    A, D = draw(st.integers(-3, 60)), draw(st.integers(0, 40))
+    F, G = draw(st.integers(-40, 60)), draw(st.integers(-4, 4))
+    K = draw(st.integers(-3, 150))
+    far = max(A, K) + 1
+    B = draw(st.just(far) | st.integers(-30, 40))
+    C = draw(st.just(far) | st.integers(-60, 40))
+    return lo, xmax, A, B, C, D, F, G, K
+
+
+@given(polygons())
+@settings(max_examples=400, deadline=None)
+def test_polygon_pieces_match_points(polygon):
+    lo, xmax, A, B, C, D, F, G, K = polygon
+    points = [
+        (x, y)
+        for x in range(lo, xmax + 1)
+        for y in range(D, A + 1)
+        if y <= x + B and y <= 2 * x + C and y <= K - x and y >= F - x and 2 * y >= x + G
+    ]
+    columns = {}
+    for x, y in points:
+        columns.setdefault(x, []).append(y)
+    assert list(counting._columns(*polygon)) == [(x, ys[0], ys[-1]) for x, ys in columns.items()]
+    # the runs cover the x with points, each with its exact bound
+    tops, bottoms = counting._polygon(*polygon)
+    top = {x: s * x + b0 for a, b, s, b0 in tops for x in range(a, b + 1)}
+    bottom = {x: -((-s * x - b0) // 2) for a, b, s, b0 in bottoms for x in range(a, b + 1)}
+    assert top == {x: ys[-1] for x, ys in columns.items()}
+    assert bottom == {x: ys[0] for x, ys in columns.items()}
+    sums = [x + y for x, y in points] or [0]
+    offset, size = -min(sums), max(sums) - min(sums) + 1
+    by_sum = [sums.count(s - offset) for s in range(size)] if points else [0]
+    # by pieces, and by the loop over x
+    for short in (-math.inf, math.inf):
+        with mock.patch.object(counting, "SHORT_RANGE", short):
+            assert counting._polygon_count(*polygon) == len(points)
+            runs = [[0] * (size + 4) for _ in range(4)]
+            counting._polygon_runs(runs, offset, *polygon)
+            assert counting._fold_runs(runs, size) == by_sum
+
+
+@given(st.integers(1, 400), st.sampled_from(("all", "medim")))
+@settings(max_examples=60, deadline=None)
+def test_long_containment_walks_match_closed_forms(q, cls):
+    # medim at q counts what all counts at q - p
+    shift = 0 if cls == "all" else 1
+    if math.gcd(3, q) == 1 and q > 3 * shift:
+        assert count_containing(3, q, cls) == closed_forms.containing_count_3(q - 3 * shift)
+    if q % 2 and q > 4 + 4 * shift:
+        step = count_containing(4, q, cls) - count_containing(4, q - 4, cls)
+        assert step == closed_forms.containing_step_4(q - 4 * shift)
+
+
+@given(st.integers(0, 260), st.integers(0, 40))
+@settings(max_examples=12, deadline=None)
+def test_p5_genus_windows_match_closed_form(low, width):
+    high = low + width
+    expected = [closed_forms.genus_count_5(g) for g in range(low, high + 1)]
+    assert genus_window(5, low, high) == expected
+    # medim at genus g counts what all counts at g - (p - 1)
+    assert genus_window(5, low, high, "medim") == [
+        closed_forms.genus_count_5(g - 4) if g >= 4 else 0 for g in range(low, high + 1)
+    ]
 
 
 def test_two_workers_sum_genus_windows_elementwise(monkeypatch):
@@ -323,9 +436,10 @@ def test_locus_walk_matches_class_filter(walk, cls):
     kept = oracles.filter_class_points(p, caps, low, high, cls)
     by_sum = [sum(1 for mu in kept if sum(mu) == g) for g in range(low, high + 1)]
     loci = counting._class_loci(p, cls)
-    parts = [counting._count_task((p, caps, low, high, cls, i)) for i in range(len(loci))]
+    parts = [counting._count_task((p, caps, low, high, cls, False, i)) for i in range(len(loci))]
     assert [sum(column) for column in zip(*parts)] == by_sum
-    assert counting._count_task((p, caps, low, high, cls, None)) == by_sum
+    assert counting._count_task((p, caps, low, high, cls, False, None)) == by_sum
+    assert counting._count_task((p, caps, low, high, cls, True, None)) == len(kept)
     walked = [mu for locus in loci for mu in counting._locus_walk(locus, caps, low, high)]
     assert sorted(walked) == kept
 
