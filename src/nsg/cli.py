@@ -166,13 +166,8 @@ def _fit_values(args):
     if args.target == "G":
         series = counting.genus_count_series(args.p, args.samples - 1, args.cls)
         return [int(v) for v in series]
-    residue = args.residue
-    if residue is None:
-        residue = 1
-    if math.gcd(residue, args.p) != 1 or not 0 < residue < args.p:
-        raise counting.NotCoprime(f"residue {residue} invalid for p={args.p}")
     return [
-        counting.count_containing(args.p, residue + n * args.p, args.cls)
+        counting.count_containing(args.p, args.residue + n * args.p, args.cls)
         for n in range(args.samples)
     ]
 
@@ -181,8 +176,11 @@ def _cmd_fit(args) -> int:
     if args.target == "G":
         direction = (1,) * (args.p - 1)
     else:
-        residue = args.residue if args.residue is not None else 1
-        direction = tuple(1 if i == residue else 0 for i in range(1, args.p))
+        if args.residue is None:
+            args.residue = 1
+        if math.gcd(args.residue, args.p) != 1 or not 0 < args.residue < args.p:
+            raise counting.NotCoprime(f"residue {args.residue} invalid for p={args.p}")
+        direction = tuple(1 if i == args.residue else 0 for i in range(1, args.p))
     predicted = quasi.predict_quasi_period(args.p, direction)
     if args.period == "auto":
         period = None  # smallest divisor of the predicted period that fits

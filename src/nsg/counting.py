@@ -5,24 +5,31 @@ coordinate vectors with entry sum g, and containment of q = i + n*p caps the
 i-th coordinate at n (coordinatewise caps come from the two-generator
 semigroup itself, whose class minima dominate those of every supersemigroup).
 
-The walk assigns coordinates in index order.  Every inequality becomes an
-interval constraint on its highest-index coordinate once the lower ones are
-fixed, so each search node scans the feasible range.  The last two
-coordinates are not walked: once the others are fixed they lie in a polygon
-whose edges have slopes 0, 1, -1, 2 and 1/2.  Split where its top and its
-bottom edge change slope, it is counted in closed form, a sum of arithmetic
+Every point set counted here is cut out by rows
+head * v_d + sum(a * v_i) + b >= 0 over integer variables, each filed under
+its last variable v_d.  Once v_0..v_{d-1} are fixed, the rows of v_d leave
+it one interval, so a single walker, _walk_rows, fixes the variables in
+order on an explicit stack and hands each prefix the interval of the last.
+
+The semigroups containing p are the points of a cone in the Apéry
+coordinates x_1..x_n (n = p - 1).  Their walk ends with the range of
+x_{n-2}; once that is fixed too, x_{n-1} and x_n lie in a polygon whose
+edges have slopes 0, 1, -1, 2 and 1/2.  Split where its top and its bottom
+edge change slope, it is counted in closed form, a sum of arithmetic
 progressions and floor sums (Beck & Robins, "Computing the Continuous
 Discretely", ch. 1).  A genus window adds the same pieces to difference
-arrays over sums, one per stride of the sum along an edge, so a whole window
-is counted in one walk without visiting a point.  The coordinate before
-them is bounded by the same kind of lines, so a prefix that leaves x_{n-1}
-no value, or whose least completion overshoots the window, is cut before it
+arrays over sums, one per stride of the sum along an edge, so a whole
+window is counted in one walk without visiting a point.  x_{n-2} itself is
+bounded by the same kind of lines, so a prefix that leaves x_{n-1} no
+value, or whose least completion overshoots the window, is cut before it
 is expanded.
 
 Symmetric and pseudo-symmetric semigroups are not found by testing points:
-each class lies on a few affine loci of dimension about p/2, one per residue
-of the largest Apéry element, built here from the pairing of residues
-against it.  Only the points of those loci are walked.
+each class lies on a few affine loci of the cone of dimension about p/2, one
+per residue of the largest Apéry element, built here from the pairing of
+residues against it.  Each locus is walked in its own variables, and all
+its points with one value of the first variable have the same sum, so a
+count adds the length of each last interval.
 """
 
 from __future__ import annotations
@@ -50,59 +57,97 @@ def _check_args(p: int, class_filter: str) -> None:
         raise ValueError(f"class_filter must be one of {CLASS_FILTERS}")
 
 
-@lru_cache(maxsize=None)
-def _depth_rules(p: int, strict: bool):
-    """Interval constraints grouped by the coordinate that resolves them.
+def _row(terms, b):
+    """(d, (head, rest, b)) for the row sum(a * v_i for i, a in terms) + b >= 0.
 
-    For coordinate d (1-based) with all earlier coordinates fixed:
-      uppers  (i, j, c):  x_d <= x_i + x_j - c          (the inequality's k is d)
-      singles (k, c):     x_d >= ceil((x_k + c) / 2)    (i == j == d)
-      lowers  (i, k, c):  x_d >= x_k + c - x_i          (j == d, i < d)
+    Coefficients of a repeated index add up; d is the last variable with a
+    nonzero one, or None if there is none.
+    """
+    coefs = {}
+    for i, a in terms:
+        coefs[i] = coefs.get(i, 0) + a
+    rest = sorted((i, a) for i, a in coefs.items() if a)
+    if not rest:
+        return None, (0, (), b)
+    d, head = rest.pop()
+    return d, (head, tuple(rest), b)
+
+
+def _walk_rows(rows, v):
+    """Yield (lo, hi) for each prefix v_0..v_{L-2} (L = len(rows)) whose last
+    variable v_{L-1} has the nonempty range lo..hi.
+
+    rows[d] holds the rows (head, terms, b) of v_d, each meaning
+    head * v_d + sum(a * v_i for i, a in terms) + b >= 0.  Every variable is
+    nonnegative and needs at least one upper row.  The prefix is written to
+    v, shared between yields.  Variables are fixed in order on an explicit
+    stack, each over the range its rows leave.
+    """
+    last = len(rows) - 1
+    stack: list = []  # one iterator over the untried values of each fixed variable
+    d = 0
+    while True:
+        lo, hi = 0, math.inf
+        for head, terms, b in rows[d]:
+            for i, a in terms:
+                b += a * v[i]
+            if head > 0:
+                b = -(b // head)
+                if b > lo:
+                    lo = b
+            else:
+                b //= -head
+                if b < hi:
+                    hi = b
+        if d < last:
+            stack.append(iter(range(lo, hi + 1)))
+        elif lo <= hi:
+            yield lo, hi
+        while stack:
+            d = len(stack) - 1
+            x = next(stack[-1], None)
+            if x is not None:
+                v[d] = x
+                d += 1
+                break
+            stack.pop()
+        else:
+            return
+
+
+@lru_cache(maxsize=None)
+def _cone_rows(p: int, strict: bool):
+    """The cone's rows over mu = (x_0, x_1, ..., x_n), n = p - 1, as (levels, tails).
+
+    levels[d], for d = 0..n-2, holds the rows of x_d for _walk_rows; the
+    one row of x_0 pins it to 0, so that x_0 stands in for x_{n-2} when
+    p = 3.  tails holds the rules of x_{n-1} and of x_n, each sorted by how
+    the variable e just before it enters (the rules are read with e = 0):
+      uppers (i, j, c):  x_d <= x_i + x_j - c, by the slope of e: 0, 1, 2
+      lowers (i, k, c):  x_d >= x_k + c - x_i, by the slope of e: 0, -1
+      singles (k, c):    2 x_d >= x_k + c
     Strict mode shifts every c by one, which turns the system into its
     interior version.
     """
-    margin = 1 if strict else 0
-    uppers = [[] for _ in range(p)]
-    singles = [[] for _ in range(p)]
-    lowers = [[] for _ in range(p)]
+    n = p - 1
+    levels = [[(-1, (), 0)]] + [[] for _ in range(n - 2)]
+    tails = [[[] for _ in range(6)] for _ in range(2)]
+    up, down = [(i, 1) for i in range(p)], [(i, -1) for i in range(p)]  # shared terms
     for i, j, k, c in build_cone(p).inequalities:
+        c += strict
         d = max(i, j, k)
+        e = d - 1
         if k == d:
-            uppers[d].append((i, j, c + margin))
+            row, rule, kind = (-1, (up[i], up[j]), -c), (i, j, c), (i == e) + (j == e)
         elif i == j:
-            singles[d].append((k, c + margin))
+            row, rule, kind = (2, (down[k],), -c), (k, c), 5
         else:
-            lowers[d].append((i, k, c + margin))
-    return tuple(
-        (tuple(uppers[d]), tuple(singles[d]), tuple(lowers[d])) for d in range(p)
-    )
-
-
-def _bounds(d, mu, total, caps, rules, low, high):
-    """Range of x_d given x_1..x_{d-1}, for points with sums in low..high."""
-    hi = caps[d - 1]
-    if high - total < hi:
-        hi = high - total
-    lo = 0
-    if d > 1:
-        # x_{d+j} <= x_d + j * x_1 (from x_1 + x_{d+j-1} >= x_{d+j}) bounds
-        # the sum the prefix can still reach; raise lo until it reaches low.
-        rest = len(mu) - d
-        lo = max(0, -((total + mu[0] * rest * (rest + 1) // 2 - low) // (rest + 1)))
-    uppers, singles, lowers = rules[d]
-    for i, j, c in uppers:
-        v = mu[i - 1] + mu[j - 1] - c
-        if v < hi:
-            hi = v
-    for k, c in singles:
-        v = (mu[k - 1] + c + 1) // 2
-        if v > lo:
-            lo = v
-    for i, k, c in lowers:
-        v = mu[k - 1] + c - mu[i - 1]
-        if v > lo:
-            lo = v
-    return lo, hi
+            row, rule, kind = (1, (up[i], down[k]), -c), (i, k, c), 3 + (i == e)
+        if d < n - 1:
+            levels[d].append(row)
+        else:
+            tails[d - n + 1][kind].append(rule)
+    return tuple(map(tuple, levels)), tuple(tuple(map(tuple, rules)) for rules in tails)
 
 
 def _walk(p, caps, min_total=0, max_total=None, strict=False, first=None, leaf=None):
@@ -113,93 +158,81 @@ def _walk(p, caps, min_total=0, max_total=None, strict=False, first=None, leaf=N
     Without leaf, return the points in lexicographic order.  With leaf,
     return nothing and hand leaf each prefix's polygon instead.
 
-    Coordinates x_1..x_{n-2} (n = p - 1) are walked depth first, each over
-    the range _bounds gives.  Once they are fixed, with sum total, every
-    bound on x_n is affine in x = x_{n-1}, or half of it:
+    _walk_rows fixes x_1..x_{n-3} (n = p - 1) under the cone's rows, the
+    caps, the sum cap and a bound on the sum each prefix can still reach,
+    and hands over the range of x_{n-2}.  For each value v of x_{n-2}, with
+    sum total over x_1..x_{n-2}, every bound on x_n is affine in
+    x = x_{n-1}, or half of it:
         x_n <= min(A, x + B, 2x + C, K - x)
         x_n >= max(D, F - x, ceil((x + G) / 2))
     for x in lo..xmax.  leaf gets (total - min_total, lo, xmax, A, B, C, D,
     F, G, K); only the listing loops over the points themselves.
     """
     low, high = min_total, sum(caps) if max_total is None else max_total
-    rules = _depth_rules(p, strict)
     n = p - 1
-    m = n - 1
-    mu = [0] * n
-    points = []
-    # Sort the rules of x_n by how x enters them.  The one single is
-    # 2 x_n >= x + G (2n mod p = n - 1), and a lower bound
-    # x_i + x_n >= x_k + c has k = i - 1, so x enters it only as x_i.
-    uppers, [(_, G)], lowers = rules[n]
-    up = ([], [], [])  # by the slope of x: 0, 1, 2
-    for i, j, c in uppers:
-        up[(i == m) + (j == m)].append((i, j, c))
-    flat = [(i, k, c) for i, k, c in lowers if i != m]
-    falling = [(k, c) for i, k, c in lowers if i == m]
+    m = n - 1  # x_m is x_{n-1}, x_{m-1} is x_{n-2}
+    levels, (x_rules, y_rules) = _cone_rows(p, strict)
+    levels = [list(level) for level in levels]
+    up, down = [(i, 1) for i in range(n)], [(i, -1) for i in range(n)]
+    for d in range(1, m):
+        # x_{d+j} <= x_d + j x_1 (from x_1 + x_{d+j-1} >= x_{d+j}), so a
+        # prefix reaches at most its sum plus (r + 1) x_d + r (r + 1) / 2 x_1.
+        r = n - d
+        levels[d] += [(-1, (), caps[d - 1]), (-1, tuple(down[1:d]), high)]
+        if d > 1 and low:  # with low = 0 the row always holds
+            reach = tuple(up[1:d]) + ((1, r * (r + 1) // 2),)
+            levels[d].append((r + 1, reach, -low))
+    least0, cap = 0, caps[m - 1]
+    if first is not None:
+        if m > 1:
+            levels[1] += [(1, (), -first[0]), (-1, (), first[1])]
+        else:  # p = 3: x_1 is x_{n-1}
+            least0, cap = first[0], min(cap, first[1])
+    tops, rises, twice, fixed, falls, singles = x_rules
+    up0, up1, up2, flat, falling, [(_, G)] = y_rules  # 2 x_n >= x + G (2n mod p = n - 1)
     far = high + 1  # an absent bound: x + far and 2x + far exceed K - x
-    # The rules of x_{n-1}, sorted by how v = x_{n-2} enters them: not at
-    # all (its single, k = n - 3, the lowers with i < n - 2 and the uppers
-    # without v), as + v (the upper x_1 + v - c) or as - v (the lower
-    # x_k + c - v).  With 2 x_n >= x_{n-1} + G and the sum cap they bound v,
-    # so that no prefix is expanded whose completion cannot fit.
-    uppers, singles, lowers = rules[m]
-    singles = [(k, c) for k, c in singles if k < m - 1]
-    fixed = [(i, k, c) for i, k, c in lowers if i < m - 1]
-    falls = [(k, c) for i, k, c in lowers if i == m - 1]
-    tops = [(i, j, c) for i, j, c in uppers if m - 1 not in (i, j)]
-    rises = [(i + j - m + 1, c) for i, j, c in uppers if (i == m - 1) != (j == m - 1)]
-
-    def rec(d, total):
-        lo, hi = _bounds(d, mu, total, caps, rules, low, high)
-        if d == 1 and first is not None:
-            lo, hi = max(lo, first[0]), min(hi, first[1])
-        if d < m:
-            if d == m - 1:
-                # max(least, fall - v) <= x_{n-1} <= min(top, v + rise)
-                least, fall, top, rise = 0, -high, caps[m - 1], high
-                for k, c in singles:
-                    least = max(least, (mu[k - 1] + c + 1) // 2)
-                for i, k, c in fixed:
-                    least = max(least, mu[k - 1] + c - mu[i - 1])
-                for k, c in falls:
-                    fall = max(fall, mu[k - 1] + c)
-                for i, j, c in tops:
-                    top = min(top, mu[i - 1] + mu[j - 1] - c)
-                for k, c in rises:
-                    rise = min(rise, mu[k - 1] - c)
-                K = high - total
-                if least > top or fall > K:
-                    return
-                # x_{n-1} has a value and x_{n-1} + x_n <= K - v can hold
-                lo = max(lo, least - rise, fall - top, -((rise - fall) // 2),
-                         3 * fall + G - 2 * K)
-                hi = min(hi, K - least - max(0, (least + G + 1) // 2))
-            for v in range(lo, hi + 1):
-                mu[d - 1] = v
-                rec(d + 1, total + v)
-            return
-        if lo > hi:
-            return
-        mu[m - 1] = 0  # so that each coefficient below reads x as 0
-        A = min([caps[n - 1]] + [mu[i - 1] + mu[j - 1] - c for i, j, c in up[0]])
-        B = min([far] + [mu[i - 1] + mu[j - 1] - c for i, j, c in up[1]])
-        C = min([far] + [mu[i - 1] + mu[j - 1] - c for i, j, c in up[2]])
-        D = max([0] + [mu[k - 1] + c - mu[i - 1] for i, k, c in flat])
-        F = max([low - total] + [mu[k - 1] + c for k, c in falling])
+    mu = [0] * (n + 1)
+    points = []
+    for lo, hi in _walk_rows(levels, mu):
+        total = sum(mu[1 : m - 1])
         K = high - total
-        # x + x_n <= K fails past this, since x_n >= D and 2 x_n >= x + G.
-        xmax = min(hi, K - D, (2 * K - G) // 3)
-        if xmax < lo:
-            return
-        if leaf is not None:
-            leaf(total - low, lo, xmax, A, B, C, D, F, G, K)
-            return
-        for x, bottom, top in _columns(lo, xmax, A, B, C, D, F, G, K):
-            mu[m - 1] = x
-            for mu[n - 1] in range(bottom, top + 1):
-                points.append(tuple(mu))
-
-    rec(1, 0)
+        # max(least, fall - v) <= x_{n-1} <= min(top, v + rise, 2v + double)
+        mu[m - 1] = 0
+        least = max([least0] + [(mu[k] + c + 1) // 2 for k, c in singles]
+                    + [mu[k] + c - mu[i] for i, k, c in fixed])
+        fall = max([-far] + [mu[k] + c - mu[i] for i, k, c in falls])
+        top = min([cap] + [mu[i] + mu[j] - c for i, j, c in tops])
+        rise = min([far] + [mu[i] + mu[j] - c for i, j, c in rises])
+        double = min([far] + [mu[i] + mu[j] - c for i, j, c in twice])
+        if least > top or fall > K:
+            continue
+        # With 2 x_n >= x_{n-1} + G and the sum cap, x_{n-1} has a value
+        # and x_{n-1} + x_n <= K - v can hold only for v in lo..hi.
+        lo = max(lo, least - rise, fall - top, -((rise - fall) // 2), 3 * fall + G - 2 * K)
+        hi = min(hi, K - least - max(0, (least + G + 1) // 2))
+        for v in range(lo, hi + 1):
+            x_lo = max(least, fall - v)
+            x_hi = min(top, v + rise, 2 * v + double)
+            mu[m - 1], mu[m] = v, 0  # so that each coefficient below reads x as 0
+            A = min([caps[n - 1]] + [mu[i] + mu[j] - c for i, j, c in up0])
+            B = min([far] + [mu[i] + mu[j] - c for i, j, c in up1])
+            C = min([far] + [mu[i] + mu[j] - c for i, j, c in up2])
+            D = max([0] + [mu[k] + c - mu[i] for i, k, c in flat])
+            F = max([low - total - v] + [mu[k] + c - mu[i] for i, k, c in falling])
+            Kv = K - v
+            # x_n >= F - x meets x_n <= x + B and 2x + C only from here on
+            x_lo = max(x_lo, -((B - F) // 2), -((C - F) // 3))
+            # x + x_n <= Kv fails past this, since x_n >= D and 2 x_n >= x + G.
+            xmax = min(x_hi, Kv - D, (2 * Kv - G) // 3)
+            if xmax < x_lo:
+                continue
+            if leaf is not None:
+                leaf(total + v - low, x_lo, xmax, A, B, C, D, F, G, Kv)
+                continue
+            for x, bottom, y_top in _columns(x_lo, xmax, A, B, C, D, F, G, Kv):
+                mu[m] = x
+                for mu[n] in range(bottom, y_top + 1):
+                    points.append(tuple(mu[1:]))
     return points
 
 
@@ -339,17 +372,16 @@ def _fold_runs(runs, size):
 class _Locus:
     """One affine locus of 'sym' or 'psym' points, with the cone written on it.
 
-    The variables are v = (t, y_1, ..., y_m): t = x_k, where k is the residue
-    of the largest Apéry element, and y_f one coordinate of the f-th pair.
-    forms[c-1] = (a, b) gives 2 x_c = a . v + b; parity, unless None, is
-    the residue of t mod 2 that makes the halved coordinates integers.  rows[d]
-    holds (a_d, (a_0, ..., a_{d-1}), b) for each inequality a . v + b >= 0
-    whose last variable is v_d.  The sum of a point is (slope t + offset) / 2.
+    The variables are v = (t', y_1, ..., y_m): x_k = t = s t' + r, where k
+    is the residue of the largest Apéry element, s is 2 when some
+    coordinate is t halved (then r makes it an integer) and 1 otherwise, and
+    y_f is one coordinate of the f-th pair.  forms[c-1] = (terms, b) gives
+    x_c = sum(a * v_i for i, a in terms) + b; rows are the locus's rows in
+    the format of _walk_rows.  The sum of a point is slope t' + offset.
     """
 
-    forms: tuple[tuple[tuple[int, ...], int], ...]
-    rows: tuple[tuple[tuple[int, tuple[int, ...], int], ...], ...]
-    parity: int | None
+    forms: tuple[tuple[tuple[tuple[int, int], ...], int], ...]
+    rows: tuple[tuple[tuple[int, tuple[tuple[int, int], ...], int], ...], ...]
     slope: int
     offset: int
 
@@ -364,55 +396,39 @@ def _locus(p: int, k: int, h: int | None) -> _Locus | None:
     """
     others = [i for i in range(1, p) if i not in (k, h)]
     pairs = [(i, (k - i) % p) for i in others if i < (k - i) % p]
-    n = len(pairs) + 1
-
-    def form(coeffs, b):
-        a = [0] * n
-        for f, c in coeffs:
-            a[f] = c
-        return tuple(a), b
-
-    forms = [None] * (p - 1)
-    forms[k - 1] = form([(0, 2)], 0)
+    halves = {i: -((2 * i - k) // p) for i in others if 2 * i % p == k}  # 2 x_i = t + b
     if h is not None:
-        forms[h - 1] = form([(0, 1)], int(2 * h == k))
-    for i in others:
-        if 2 * i % p == k:
-            forms[i - 1] = form([(0, 1)], -((2 * i - k) // p))
-    for f, (i, j) in enumerate(pairs, start=1):
-        forms[i - 1] = form([(f, 2)], 0)
-        forms[j - 1] = form([(0, 2), (f, -2)], -2 * ((i + j - k) // p))
-    parities = {b % 2 for a, b in forms if a[0] % 2}
+        halves[h] = int(2 * h == k)
+    parities = {b % 2 for b in halves.values()}
     if len(parities) > 1:
         return None
+    s, r = (2, parities.pop()) if parities else (1, 0)
+    forms = [None] * (p - 1)
+    forms[k - 1] = (((0, s),), r)
+    for i, b in halves.items():
+        forms[i - 1] = (((0, 1),), (r + b) // 2)
+    for f, (i, j) in enumerate(pairs, start=1):
+        forms[i - 1] = (((f, 1),), 0)
+        forms[j - 1] = (((0, s), (f, -1)), r - (i + j - k) // p)
 
-    def combine(terms, b):
-        a = [sum(s * forms[c - 1][0][f] for c, s in terms) for f in range(n)]
-        return tuple(a), b + sum(s * forms[c - 1][1] for c, s in terms)
+    def combine(signs, b):
+        terms = [(i, sign * a) for c, sign in signs for i, a in forms[c - 1][0]]
+        return _row(terms, b + sum(sign * forms[c - 1][1] for c, sign in signs))
 
     inequalities = [combine([(c, 1)], 0) for c in range(1, p)]  # x_c >= 0
     inequalities += [
-        combine([(i, 1), (j, 1), (l, -1)], -2 * c)
-        for i, j, l, c in build_cone(p).inequalities
+        combine([(i, 1), (j, 1), (l, -1)], -c) for i, j, l, c in build_cone(p).inequalities
     ]
     if h is not None:
-        inequalities.append(combine([(k, 1)], -2))  # the origin is not 'psym'
-    rows = [[] for _ in range(n)]
-    for a, b in inequalities:
-        if not any(a):
-            if b < 0:
-                return None
-            continue
-        d = max(f for f in range(n) if a[f])
-        rows[d].append((a[d], a[:d], b))
-    slope, offset = combine([(c, 1) for c in range(1, p)], 0)
-    return _Locus(
-        tuple(forms),
-        tuple(map(tuple, rows)),
-        parities.pop() if parities else None,
-        slope[0],
-        offset,
-    )
+        inequalities.append(combine([(k, 1)], -1))  # the origin is not 'psym'
+    rows = [[] for _ in range(len(pairs) + 1)]
+    for d, row in inequalities:
+        if d is not None:
+            rows[d].append(row)
+        elif row[2] < 0:
+            return None
+    _, (slope, _, offset) = combine([(c, 1) for c in range(1, p)], 0)
+    return _Locus(tuple(forms), tuple(map(tuple, rows)), slope, offset)
 
 
 @lru_cache(maxsize=None)
@@ -428,60 +444,22 @@ def _class_loci(p: int, class_filter: str) -> tuple[_Locus, ...]:
     return tuple(locus for locus in loci if locus is not None)
 
 
-def _locus_walk(locus, caps, low, high, out=None):
-    """Walk the points of one locus under caps in the cone, with sums low..high.
-
-    Without out, yield each point; with out, yield nothing and add the
-    number of points with sum g to out[g - low].  Each variable ranges over
-    the interval its rows leave once the earlier ones are fixed, so every
-    cone inequality holds at every point walked.
-    """
+def _locus_ranges(locus, caps, low, high, v):
+    """_walk_rows over one locus, under caps and with sums low..high."""
     rows = [list(level) for level in locus.rows]
-    for (a, b), cap in zip(locus.forms, caps):
-        d = max(f for f in range(len(a)) if a[f])
-        rows[d].append((-a[d], tuple(-c for c in a[:d]), 2 * cap - b))
-    slope, offset = locus.slope, locus.offset
-    rows[0] += [(slope, (), offset - 2 * low), (-slope, (), 2 * high - offset)]
-    m = len(rows) - 1
-    v = [0] * (m + 1)
+    for (terms, b), cap in zip(locus.forms, caps):
+        d, row = _row([(i, -a) for i, a in terms], cap - b)
+        rows[d].append(row)
+    rows[0] += [(locus.slope, (), locus.offset - low), (-locus.slope, (), high - locus.offset)]
+    return _walk_rows(rows, v)
 
-    def bounds(d, lo, hi):
-        for head, tail, s in rows[d]:
-            for c, x in zip(tail, v):
-                s += c * x
-            if head > 0:
-                lo = max(lo, -(s // head))
-            else:
-                hi = min(hi, s // -head)
-        return lo, hi
 
-    def point():
-        return tuple((sum(c * x for c, x in zip(a, v)) + b) // 2 for a, b in locus.forms)
-
-    def rec(d):
-        lo, hi = bounds(d, 0, v[0])  # y_d is a coordinate, at most x_k = t
-        if d < m:
-            for v[d] in range(lo, hi + 1):
-                yield from rec(d + 1)
-        elif out is not None:
-            if lo <= hi:
-                out[(slope * v[0] + offset) // 2 - low] += hi - lo + 1
-        else:
-            for v[d] in range(lo, hi + 1):
-                yield point()
-
-    lo, hi = bounds(0, 0, high)
-    step = 1
-    if locus.parity is not None:
-        lo += (lo - locus.parity) % 2
-        step = 2
-    for v[0] in range(lo, hi + 1, step):
-        if m:
-            yield from rec(1)
-        elif out is not None:
-            out[(slope * v[0] + offset) // 2 - low] += 1
-        else:
-            yield point()
+def _locus_walk(locus, caps, low, high):
+    """Yield the points of one locus under caps in the cone, with sums low..high."""
+    v = [0] * len(locus.rows)
+    for lo, hi in _locus_ranges(locus, caps, low, high, v):
+        for v[-1] in range(lo, hi + 1):
+            yield tuple(sum(a * v[i] for i, a in terms) + b for terms, b in locus.forms)
 
 
 def _count_task(task):
@@ -506,11 +484,19 @@ def _count_task(task):
         _walk(p, caps, low, high, strict, part, partial(_polygon_runs, runs))
         return _fold_runs(runs, high - low + 1)
     loci = _class_loci(p, class_filter)
-    out = [0] * (high - low + 1)
+    counts = 0 if total else [0] * (high - low + 1)
     for locus in loci if part is None else loci[part : part + 1]:
-        for _ in _locus_walk(locus, caps, low, high, out):
-            pass  # with out the walk yields nothing and only fills it
-    return sum(out) if total else out
+        v = [0] * len(locus.rows)
+        slope, offset = locus.slope, locus.offset - low
+        for lo, hi in _locus_ranges(locus, caps, low, high, v):
+            if total:
+                counts += hi - lo + 1
+            elif len(v) > 1:
+                counts[slope * v[0] + offset] += hi - lo + 1
+            else:  # the range is of t' itself, and each t' has its own sum
+                for i in range(slope * lo + offset, slope * hi + offset + 1, slope):
+                    counts[i] += 1
+    return counts
 
 
 # Tasks per process when x_1 is split: a few, so that an uneven share of the

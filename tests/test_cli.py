@@ -160,6 +160,13 @@ def test_fit_containment_auto_period_uses_residue_direction(capsys):
     assert "leading: 3/4 (constant)" in out
 
 
+@pytest.mark.parametrize("residue", ["0", "2", "5"])
+def test_fit_checks_residue_before_predicting_the_period(capsys, residue):
+    code, _, err = run_cli(capsys, "fit", "--p", "4", "--target", "N", "--residue", residue)
+    assert code == 2
+    assert f"residue {residue} invalid for p=4" in err
+
+
 def test_fit_bad_shape_fails_with_one(capsys):
     code, _, err = run_cli(
         capsys, "fit", "--p", "3", "--target", "G", "--period", "2", "--degree", "1",

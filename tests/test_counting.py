@@ -1,5 +1,8 @@
 import concurrent.futures
+import inspect
 import math
+import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -461,6 +464,28 @@ def test_trivial_semigroup_is_symmetric_only(p):
 )
 def test_symmetric_series_matches_closed_form(p, g_max, formula):
     assert genus_count_series(p, g_max, "sym") == [formula(g) for g in range(g_max + 1)]
+
+
+def test_large_p_needs_no_frame_per_coordinate():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        assert genus_window(120, 0, 3) == [1, 1, 2, 4]
+        assert genus_window(120, 0, 3, "medim") == [0, 0, 0, 0]
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("cls,expected", [("sym", 100002), ("psym", 100000)])
+def test_class_totals_allocate_nothing_per_sum(cls, expected):
+    count_containing(3, 7, cls)  # build the loci before tracing
+    tracemalloc.start()
+    try:
+        assert count_containing(3, 200002, cls) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_class_tasks_are_loci(monkeypatch):
