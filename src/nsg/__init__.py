@@ -40,7 +40,6 @@ from .paths import (
     verify_path_recursions,
 )
 from .quasi import (
-    AlphaForm,
     EdgeInHyperplane,
     InsufficientSamples,
     QuasiPolynomial,

@@ -1,15 +1,14 @@
 """Command line surface: counting, listing, paths, edges, fitting, tables.
 
 Exit codes: 0 on success, 1 when a verification-style command finds a
-mismatch, 2 on usage errors, 3 on an internal error.  CSV output is
-byte-stable so the files written by ``seed-tables`` can be compared verbatim
-with ``nsg table``.
+mismatch, 2 on usage errors (an output path that cannot be written among
+them), 3 on an internal error.  CSV output is byte-stable so the files
+written by ``seed-tables`` can be compared verbatim with ``nsg table``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -43,18 +42,30 @@ def _parse_range(text: str) -> range:
     return range(v, v + 1)
 
 
+def _open_for_writing(path):
+    try:
+        return open(path, "w", newline="")
+    except OSError as err:
+        raise ValueError(f"cannot write {path}: {err.strerror or err}") from err
+
+
+def _json_text(payload, indent=None) -> str:
+    import json  # here, not at the top: every command pays for this module's imports
+
+    return json.dumps(payload, indent=indent) + "\n"
+
+
 def _emit(args, columns, rows, preamble=()):
     """Write rows as CSV (default) or JSON, to stdout or --out."""
     if args.format == "json":
-        payload = [dict(zip(columns, row)) for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text([dict(zip(columns, row)) for row in rows], indent=2)
     else:
         lines = list(preamble)
         lines.append(",".join(columns))
         lines.extend(",".join(str(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w", newline="") as fh:
+        with _open_for_writing(args.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -156,7 +167,7 @@ def _cmd_paths(args) -> int:
 def _cmd_edges(args) -> int:
     rays = edges_of_cone_star(args.p).rays
     if args.format == "json":
-        sys.stdout.write(json.dumps([list(r) for r in rays]) + "\n")
+        sys.stdout.write(_json_text([list(r) for r in rays]))
     else:
         sys.stdout.write(" ".join("(" + ",".join(str(v) for v in r) + ")" for r in rays) + "\n")
     return 0
@@ -173,6 +184,14 @@ def _fit_values(args):
 
 
 def _cmd_fit(args) -> int:
+    # None: the smallest divisor of the predicted period that fits
+    period = None if args.period == "auto" else int(args.period)
+    degree = None if args.degree == "auto" else int(args.degree)
+    for flag, value, least in (
+        ("--period", period, 1), ("--samples", args.samples, 1), ("--degree", degree, 0)
+    ):
+        if value is not None and value < least:
+            raise ValueError(f"{flag} must be at least {least}, not {value}")
     if args.target == "G":
         direction = (1,) * (args.p - 1)
     else:
@@ -182,11 +201,6 @@ def _cmd_fit(args) -> int:
             raise counting.NotCoprime(f"residue {args.residue} invalid for p={args.p}")
         direction = tuple(1 if i == args.residue else 0 for i in range(1, args.p))
     predicted = quasi.predict_quasi_period(args.p, direction)
-    if args.period == "auto":
-        period = None  # smallest divisor of the predicted period that fits
-    else:
-        period = int(args.period)
-    degree = None if args.degree == "auto" else int(args.degree)
     if args.samples is None:
         base = period if period is not None else predicted
         args.samples = base * ((degree if degree is not None else 6) + 2)
@@ -225,7 +239,7 @@ def _cmd_fit(args) -> int:
             "leading": [str(c) for c in report.coefficients],
             "leading_constant": report.constant,
         }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(_json_text(payload, indent=2))
     else:
         lines = [f"period: {qp.period}", f"degree: {qp.degree}"]
         for r, cons in enumerate(qp.constituents):
@@ -282,17 +296,20 @@ def _cmd_table(args) -> int:
     if args.format == "json":
         columns, rows = _table_rows(args.name)
         payload = {"source": args.name, "rows": [dict(zip(columns, r)) for r in rows]}
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(_json_text(payload, indent=2))
     else:
         sys.stdout.write(table_text(args.name))
     return 0
 
 
 def _cmd_seed_tables(args) -> int:
-    os.makedirs(args.dir, exist_ok=True)
+    try:
+        os.makedirs(args.dir, exist_ok=True)
+    except OSError as err:
+        raise ValueError(f"cannot write {args.dir}: {err.strerror or err}") from err
     for name in TABLE_NAMES:
         target = os.path.join(args.dir, f"{name}.csv")
-        with open(target, "w", newline="") as fh:
+        with _open_for_writing(target) as fh:
             fh.write(table_text(name))
         print(f"wrote {target}")
     return 0

@@ -22,9 +22,10 @@ double description method in integer arithmetic, for p <= 10 (MAX_EDGE_P).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from ._record import Record
 
 
 class DimensionMismatch(ValueError):
@@ -38,8 +39,7 @@ class UnsupportedP(ValueError):
 MAX_EDGE_P = 10
 
 
-@dataclass(frozen=True)
-class ConeModel:
+class ConeModel(Record):
     """Inequality description of the Apéry coordinate cone for one p.
 
     inequalities holds tuples (i, j, k, c), 1-based, meaning
@@ -47,6 +47,7 @@ class ConeModel:
     satisfying every inequality with equality.
     """
 
+    __slots__ = ("p", "inequalities", "vertex")
     p: int
     inequalities: tuple[tuple[int, int, int, int], ...]
     vertex: tuple[Fraction, ...]
@@ -162,10 +163,10 @@ def _simplicial_start(normals):
     return basis, rays
 
 
-@dataclass(frozen=True)
-class EdgeSet:
+class EdgeSet(Record):
     """Primitive generators of the one-dimensional faces of the recession cone."""
 
+    __slots__ = ("p", "rays")
     p: int
     rays: tuple[tuple[int, ...], ...]
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from functools import reduce
 
+from ._record import Record
 from .cone import build_cone
 
 
@@ -73,10 +73,10 @@ def _is_pseudo_symmetric_mu(p: int, mu: tuple[int, ...]) -> bool:
     return 2 * sum(mu) == frobenius + 2
 
 
-@dataclass(frozen=True)
-class Semigroup:
+class Semigroup(Record):
     """Canonical (p, mu) representation of a semigroup containing p."""
 
+    __slots__ = ("p", "mu")
     p: int
     mu: tuple[int, ...]
 

@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate
 
 from . import core
+from ._record import Record
 from .cone import build_cone
 
 CLASS_FILTERS = ("all", "sym", "psym", "medim")
@@ -368,8 +368,7 @@ def _fold_runs(runs, size):
     return list(accumulate(map(sum, zip(*runs))))[:size]
 
 
-@dataclass(frozen=True)
-class _Locus:
+class _Locus(Record):
     """One affine locus of 'sym' or 'psym' points, with the cone written on it.
 
     The variables are v = (t', y_1, ..., y_m): x_k = t = s t' + r, where k
@@ -380,6 +379,7 @@ class _Locus:
     the format of _walk_rows.  The sum of a point is slope t' + offset.
     """
 
+    __slots__ = ("forms", "rows", "slope", "offset")
     forms: tuple[tuple[tuple[tuple[int, int], ...], int], ...]
     rows: tuple[tuple[tuple[int, tuple[tuple[int, int], ...], int], ...], ...]
     slope: int

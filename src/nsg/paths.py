@@ -22,9 +22,9 @@ count is that count plus one).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import core, counting
+from ._record import Record
 
 
 class PointOutsideTriangle(ValueError):
@@ -43,10 +43,10 @@ class NotAdmissible(ValueError):
     """The path's point set is not closed under the pair conditions."""
 
 
-@dataclass(frozen=True)
-class PathSystem:
+class PathSystem(Record):
     """The (p, q) triangle.  Stored with p < q; arguments may come swapped."""
 
+    __slots__ = ("p", "q")
     p: int
     q: int
 
@@ -100,8 +100,7 @@ class PathSystem:
         return rest // p - 1, b_plus_1 - 1
 
 
-@dataclass(frozen=True)
-class LatticePath:
+class LatticePath(Record):
     """A monotone right/down staircase, as corner points plus its point set.
 
     corners is the start point, the points where a right step turns into a
@@ -111,6 +110,7 @@ class LatticePath:
     points.
     """
 
+    __slots__ = ("corners", "points")
     corners: tuple[tuple[int, int], ...]
     points: frozenset
 
@@ -313,8 +313,9 @@ def path_from_semigroup(system: PathSystem, s: core.Semigroup) -> LatticePath:
     return LatticePath.from_heights(sum(a < v for v in w) for a in range(w[0]))
 
 
-@dataclass(frozen=True)
-class RecursionRow:
+class RecursionRow(Record):
+    __slots__ = ("q", "new_total", "new_symmetric", "new_pseudo",
+                 "total_ok", "symmetric_ok", "pseudo_ok")
     q: int
     new_total: int
     new_symmetric: int
@@ -328,8 +329,8 @@ class RecursionRow:
         return self.total_ok and self.symmetric_ok and self.pseudo_ok
 
 
-@dataclass(frozen=True)
-class PathRecursionReport:
+class PathRecursionReport(Record):
+    __slots__ = ("p", "rows")
     p: int
     rows: tuple[RecursionRow, ...]
 

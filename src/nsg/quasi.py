@@ -9,9 +9,9 @@ of every remaining sample; nothing here is ever approximated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .cone import edges_of_cone_star
 
 
@@ -60,10 +60,10 @@ def _poly_sub(a, b) -> tuple[Fraction, ...]:
     return _trim(out)
 
 
-@dataclass(frozen=True)
-class QuasiPolynomial:
+class QuasiPolynomial(Record):
     """period many constituents, each a low-to-high coefficient tuple."""
 
+    __slots__ = ("period", "constituents")
     period: int
     constituents: tuple[tuple[Fraction, ...], ...]
 
@@ -171,30 +171,19 @@ def difference(qp: QuasiPolynomial) -> QuasiPolynomial:
     )
 
 
-@dataclass(frozen=True)
-class AlphaForm:
-    """A primitive nonnegative counting direction."""
-
-    coordinates: tuple[int, ...]
-
-    def __post_init__(self):
-        coords = tuple(int(v) for v in self.coordinates)
-        object.__setattr__(self, "coordinates", coords)
-        if not coords or any(v < 0 for v in coords):
-            raise ValueError("direction must be nonnegative and nonempty")
-        if math.gcd(*coords) != 1:
-            raise ValueError("direction must be primitive (gcd 1, nonzero)")
-
-
 def predict_quasi_period(p: int, alpha) -> int:
-    """lcm of the pairings of the direction with the recession cone edges.
+    """lcm of the pairings of a direction with the recession cone edges.
 
-    This is a valid (not necessarily minimal) quasi-period for the counting
-    function along that direction.  Directions orthogonal to an edge are
-    rejected: the slice count is infinite there.
+    alpha is a primitive nonnegative counting direction.  This is a valid
+    (not necessarily minimal) quasi-period for the counting function along
+    it.  Directions orthogonal to an edge are rejected: the slice count is
+    infinite there.
     """
-    direction = alpha if isinstance(alpha, AlphaForm) else AlphaForm(tuple(alpha))
-    coords = direction.coordinates
+    coords = tuple(int(v) for v in alpha)
+    if not coords or any(v < 0 for v in coords):
+        raise ValueError("direction must be nonnegative and nonempty")
+    if math.gcd(*coords) != 1:
+        raise ValueError("direction must be primitive (gcd 1, nonzero)")
     edges = edges_of_cone_star(p)
     if len(coords) != p - 1:
         raise ValueError(f"direction must have {p - 1} coordinates")
@@ -207,10 +196,10 @@ def predict_quasi_period(p: int, alpha) -> int:
     return math.lcm(*dots)
 
 
-@dataclass(frozen=True)
-class LeadingCoefficients:
+class LeadingCoefficients(Record):
     """Top-degree coefficient per residue class, plus a constancy flag."""
 
+    __slots__ = ("degree", "coefficients", "constant")
     degree: int
     coefficients: tuple[Fraction, ...]
     constant: bool

@@ -209,6 +209,30 @@ def test_fit_over_sample_budget_is_refused_before_sampling(monkeypatch, capsys, 
     assert f"budget of {cli.MAX_FIT_SAMPLES}" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--target", "G", "--period", "0"), "--period must be at least 1, not 0"),
+        (("--target", "G", "--period", "-2"), "--period must be at least 1, not -2"),
+        (("--target", "G", "--samples", "0"), "--samples must be at least 1, not 0"),
+        (("--target", "N", "--period", "-2"), "--period must be at least 1, not -2"),
+        (("--target", "N", "--samples", "-1"), "--samples must be at least 1, not -1"),
+        (("--target", "G", "--degree", "-3"), "--degree must be at least 0, not -3"),
+        (("--target", "N", "--degree", "-1"), "--degree must be at least 0, not -1"),
+    ],
+)
+def test_fit_flags_out_of_range_are_usage_errors(monkeypatch, capsys, argv, message):
+    def no_sampling(*args):
+        raise AssertionError("a refused fit must not count anything")
+
+    monkeypatch.setattr(cli.counting, "genus_count_series", no_sampling)
+    monkeypatch.setattr(cli.counting, "count_containing", no_sampling)
+    code, out, err = run_cli(capsys, "fit", "--p", "4", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_table_matches_golden_file(capsys):
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     for name in cli.TABLE_NAMES:
@@ -300,6 +324,22 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert target.read_text().splitlines()[0] == "p,genus,class,count"
 
 
+@pytest.mark.parametrize("command", ["count", "seed-tables"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "x.csv"
+    if command == "count":
+        argv = ("count", "--p", "4", "--genus", "1..2", "--out", str(target))
+        reason = "No such file or directory"
+    else:
+        target.parent.write_text("a file, not a directory\n")
+        argv = ("seed-tables", "--dir", str(target))
+        reason = "Not a directory"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {target}: {reason}\n"
+
+
 def test_usage_error_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["count", "--p", "3"])  # neither --genus nor --contains
@@ -317,13 +357,37 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: walk lost its place\n"
 
 
-def test_import_leaves_multiprocessing_out():
+# What a command must not load: multiprocessing only for a pool, dataclasses
+# and inspect never, json only for JSON output.
+_HEAVY = ("multiprocessing", "dataclasses", "inspect", "json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("count", "--p", "6", "--contains", "47..52", "--class", "sym"),
+        ("enumerate", "--p", "6", "--genus", "20"),
+        ("paths", "--p", "4", "--q", "25", "--list"),
+        ("edges", "--p", "6"),
+        ("fit", "--p", "4", "--target", "G"),
+    ],
+    ids=lambda argv: argv[0] if argv else "import",
+)
+def test_import_leaves_modules_out(argv):
+    # One fresh interpreter per case: the import graph of the command alone.
     src = os.path.dirname(os.path.dirname(os.path.abspath(nsg.__file__)))
+    script = (
+        "import sys\n"
+        "from nsg import cli\n"
+        "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        f"print(code, [m for m in {_HEAVY!r} if m in sys.modules])\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, nsg.cli; print('multiprocessing' in sys.modules)"],
+        [sys.executable, "-c", script, *argv],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "0 []"

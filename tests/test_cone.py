@@ -5,7 +5,9 @@ import pytest
 
 import oracles
 from nsg import (
+    ConeModel,
     DimensionMismatch,
+    EdgeSet,
     Semigroup,
     UnsupportedP,
     build_cone,
@@ -15,6 +17,7 @@ from nsg import counting
 from nsg.cone import star_inequalities
 from nsg.counting import _walk
 from oracles import interior_shift_check, interior_shift_witness, rank, sigma_star_set
+from record_checks import check_record
 
 
 def test_build_cone_p3():
@@ -247,3 +250,28 @@ def test_genus_slice_bijection(p):
     tree = oracles.tree_counts_containing_p(p, 12)
     for g in range(13):
         assert per_genus.get(g, 0) == tree[g]
+
+
+def test_cone_records_are_frozen_values():
+    cone = build_cone(3)
+    check_record(
+        cone,
+        ConeModel(3, cone.inequalities, cone.vertex),
+        build_cone(4),
+        (3, cone.inequalities, cone.vertex),
+        "ConeModel(p=3, inequalities=((1, 1, 2, 0), (2, 2, 1, -1)), "
+        "vertex=(Fraction(-1, 3), Fraction(-2, 3)))",
+    )
+    rays = ((1, 2), (2, 1))
+    check_record(
+        edges_of_cone_star(3),
+        EdgeSet(p=3, rays=rays),
+        EdgeSet(3, rays[:1]),
+        (3, rays),
+        "EdgeSet(p=3, rays=((1, 2), (2, 1)))",
+    )
+
+
+def test_edge_set_refuses_a_ray_that_is_not_primitive():
+    with pytest.raises(ValueError, match=r"^ray \(2, 4\) is not primitive$"):
+        EdgeSet(3, ((1, 2), (2, 4)))

@@ -13,6 +13,7 @@ from nsg import (
 )
 from nsg.counting import _walk, containment_caps
 from oracles import GapSet
+from record_checks import check_record
 
 
 def test_from_generators_canonical_form():
@@ -262,3 +263,25 @@ def test_huge_generator_is_exact_at_once():
     assert s.mu == (666666666667, 333333333333)
     assert s.minimal_generators() == (3, q)
     assert containment_caps(3, q) == s.mu
+
+
+def test_semigroup_is_a_frozen_value():
+    s = Semigroup(3, (1, 1))
+    check_record(s, Semigroup(p=3, mu=[1, 1]), Semigroup(3, (1, 2)), (3, (1, 1)), "Semigroup(p=3, mu=(1, 1))")
+    trusted = Semigroup._trusted(3, (1, 1))
+    assert trusted == s and hash(trusted) == hash(s) and repr(trusted) == repr(s)
+
+
+@pytest.mark.parametrize(
+    "p,mu,message",
+    [
+        (2, (1,), "p must be at least 3"),
+        (4, (1, 1), "mu must have 3 entries"),
+        (3, (1, -1), "mu entries must be nonnegative"),
+        (3, (0, 2), "mu=(0, 2) violates the coordinate inequalities"),
+    ],
+)
+def test_semigroup_validation_messages(p, mu, message):
+    with pytest.raises(ValueError) as err:
+        Semigroup(p, mu)
+    assert str(err.value) == message

@@ -22,6 +22,7 @@ from nsg.cone import build_cone
 from nsg.core import Semigroup, _is_pseudo_symmetric_mu, _is_symmetric_mu
 from nsg.counting import containment_caps, genus_window
 from oracles import cumulative_by_genus, verify_interior_identity, verify_medim_identity
+from record_checks import check_record
 
 
 def test_enumerate_small_slices():
@@ -504,3 +505,17 @@ def test_class_tasks_are_loci(monkeypatch):
         assert count_containing(6, 47, cls, workers=2) == serial[cls]
         assert parts == list(range(len(counting._class_loci(6, cls))))
     assert sizes == [2, 2]
+
+
+def test_locus_is_a_frozen_value():
+    locus = counting._class_loci(3, "sym")[0]
+    forms = ((((0, 2),), 1), (((0, 1),), 0))
+    rows = (((2, (), 1), (1, (), 0), (3, (), 2)),)
+    check_record(
+        locus,
+        counting._Locus(forms, rows, 3, 1),
+        counting._Locus(forms, rows, 3, 0),
+        (forms, rows, 3, 1),
+        "_Locus(forms=((((0, 2),), 1), (((0, 1),), 0)), "
+        "rows=(((2, (), 1), (1, (), 0), (3, (), 2)),), slope=3, offset=1)",
+    )

@@ -22,7 +22,13 @@ from nsg import (
     semigroup_from_path,
     verify_path_recursions,
 )
-from nsg.paths import _iter_admissible_heights, _semigroup_from_heights
+from nsg.paths import (
+    PathRecursionReport,
+    RecursionRow,
+    _iter_admissible_heights,
+    _semigroup_from_heights,
+)
+from record_checks import check_record
 
 
 def test_system_canonicalizes_order():
@@ -321,3 +327,48 @@ def test_path_from_semigroup_matches_triangle_scan_drawn(pq, extra):
     system = PathSystem(p, q)
     s = from_generators({p, q, *extra}, p)
     assert path_from_semigroup(system, s) == _triangle_scan_path(system, s)
+
+
+def test_path_records_are_frozen_values():
+    check_record(PathSystem(7, 3), PathSystem(q=7, p=3), PathSystem(3, 8), (3, 7), "PathSystem(p=3, q=7)")
+    path = LatticePath.from_heights([2, 1])
+    corners, points = ((0, 1), (1, 0)), frozenset({(0, 0), (0, 1), (1, 0)})
+    check_record(
+        path,
+        LatticePath(corners, points),
+        LatticePath.from_heights([2]),
+        (corners, points),
+        "LatticePath(corners=((0, 1), (1, 0)), points=frozenset({(0, 1), (1, 0), (0, 0)}))",
+    )
+    report = verify_path_recursions(3, 7)
+    row = report.rows[0]
+    fields = (4, 2, 1, 1, True, True, True)
+    check_record(
+        row,
+        RecursionRow(*fields),
+        RecursionRow(*fields[:-1], False),
+        fields,
+        "RecursionRow(q=4, new_total=2, new_symmetric=1, new_pseudo=1, "
+        "total_ok=True, symmetric_ok=True, pseudo_ok=True)",
+    )
+    check_record(
+        report,
+        PathRecursionReport(3, report.rows),
+        PathRecursionReport(3, report.rows[:1]),
+        (3, report.rows),
+        f"PathRecursionReport(p=3, rows=({row!r}, {report.rows[1]!r}, {report.rows[2]!r}))",
+    )
+
+
+@pytest.mark.parametrize(
+    "p,q,error,message",
+    [
+        (0, 5, ValueError, "need two distinct positive elements"),
+        (4, 4, ValueError, "need two distinct positive elements"),
+        (6, 4, NotCoprime, "gcd(4, 6) != 1"),
+    ],
+)
+def test_path_system_validation_messages(p, q, error, message):
+    with pytest.raises(error) as err:
+        PathSystem(p, q)
+    assert str(err.value) == message

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsg import (
-    AlphaForm,
     EdgeInHyperplane,
     InsufficientSamples,
     QuasiPolynomial,
@@ -18,8 +17,10 @@ from nsg import (
     predict_quasi_period,
     shift,
 )
+from nsg.quasi import LeadingCoefficients
 import oracles
 from oracles import asymptotic_ratio_check, cumulative_by_genus, partial_sum
+from record_checks import check_record
 
 F = Fraction
 
@@ -128,14 +129,16 @@ def test_predict_rejects_orthogonal_direction():
         predict_quasi_period(4, (0, 1, 0))  # the ray (1, 0, 1) pairs to zero
 
 
-def test_alpha_form_validation():
-    with pytest.raises(ValueError):
-        AlphaForm((0, 0))
-    with pytest.raises(ValueError):
-        AlphaForm((2, 4))
-    with pytest.raises(ValueError):
-        AlphaForm((1, -1))
-    assert AlphaForm((2, 3)).coordinates == (2, 3)
+def test_predict_quasi_period_validates_direction():
+    with pytest.raises(ValueError, match=r"^direction must be primitive \(gcd 1, nonzero\)$"):
+        predict_quasi_period(3, (0, 0))
+    with pytest.raises(ValueError, match=r"^direction must be primitive \(gcd 1, nonzero\)$"):
+        predict_quasi_period(3, (2, 4))
+    with pytest.raises(ValueError, match="^direction must be nonnegative and nonempty$"):
+        predict_quasi_period(3, (1, -1))
+    with pytest.raises(ValueError, match="^direction must be nonnegative and nonempty$"):
+        predict_quasi_period(3, ())
+    assert predict_quasi_period(3, (2, 3)) == 56  # lcm(8, 7) over the rays (1, 2), (2, 1)
 
 
 @pytest.mark.parametrize("p,degree", [(3, 1), (4, 2), (5, 3)])
@@ -323,3 +326,35 @@ def test_interpolation_matches_gauss_jordan_solve(period, degree, data):
     except (InsufficientSamples, VerificationMismatch) as err:
         got = type(err).__name__
     assert got == expected
+
+
+def test_quasi_records_are_frozen_values():
+    one = (Fraction(1), Fraction(1))
+    qp = fit([1, 2, 3, 4, 5, 6], 1)
+    check_record(
+        qp,
+        QuasiPolynomial(1, ((1, 1, 0),)),
+        QuasiPolynomial(1, ((1, 2),)),
+        (1, (one,)),
+        "QuasiPolynomial(period=1, constituents=((Fraction(1, 1), Fraction(1, 1)),))",
+    )
+    check_record(
+        leading_coefficient_report(qp),
+        LeadingCoefficients(1, (Fraction(1),), True),
+        LeadingCoefficients(1, (Fraction(2),), True),
+        (1, (Fraction(1),), True),
+        "LeadingCoefficients(degree=1, coefficients=(Fraction(1, 1),), constant=True)",
+    )
+
+
+@pytest.mark.parametrize(
+    "period,constituents,message",
+    [
+        (0, (), "period must be positive"),
+        (2, ((1,),), "need exactly one constituent per residue class"),
+    ],
+)
+def test_quasi_polynomial_validation_messages(period, constituents, message):
+    with pytest.raises(ValueError) as err:
+        QuasiPolynomial(period, constituents)
+    assert str(err.value) == message
