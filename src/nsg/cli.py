@@ -42,6 +42,16 @@ def _parse_range(text: str) -> range:
     return range(v, v + 1)
 
 
+def _auto_or_int(text: str) -> int | None:
+    """None for "auto", else the integer; argparse names the flag if neither."""
+    if text == "auto":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected auto or an integer, not {text!r}") from None
+
+
 def _open_for_writing(path):
     try:
         return open(path, "w", newline="")
@@ -185,8 +195,7 @@ def _fit_values(args):
 
 def _cmd_fit(args) -> int:
     # None: the smallest divisor of the predicted period that fits
-    period = None if args.period == "auto" else int(args.period)
-    degree = None if args.degree == "auto" else int(args.degree)
+    period, degree = args.period, args.degree
     for flag, value, least in (
         ("--period", period, 1), ("--samples", args.samples, 1), ("--degree", degree, 0)
     ):
@@ -367,8 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--target", choices=("G", "N"), required=True,
                     help="G: counts by genus; N: counts by containment")
     sp.add_argument("--residue", type=int, help="residue of q mod p for target N")
-    sp.add_argument("--period", default="auto")
-    sp.add_argument("--degree", default="auto")
+    sp.add_argument("--period", type=_auto_or_int, default="auto")
+    sp.add_argument("--degree", type=_auto_or_int, default="auto")
     sp.add_argument("--samples", type=int)
     add_common(sp)
     sp.set_defaults(func=_cmd_fit)

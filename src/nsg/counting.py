@@ -19,10 +19,12 @@ edge change slope, it is counted in closed form, a sum of arithmetic
 progressions and floor sums (Beck & Robins, "Computing the Continuous
 Discretely", ch. 1).  A genus window adds the same pieces to difference
 arrays over sums, one per stride of the sum along an edge, so a whole
-window is counted in one walk without visiting a point.  x_{n-2} itself is
-bounded by the same kind of lines, so a prefix that leaves x_{n-1} no
-value, or whose least completion overshoots the window, is cut before it
-is expanded.
+window is counted in one walk without visiting a point.  Each earlier
+coordinate x_d is bounded by the least sum a completion must still add:
+the cone pairs x_{d+1}..x_n so that every pair, and twice a middle one, is
+at least x_d - 1, so a prefix whose least completion overshoots the window
+is never expanded.  x_{n-2} is bounded further by the polygon's own lines,
+so a value that leaves x_{n-1} no value is never tried.
 
 Symmetric and pseudo-symmetric semigroups are not found by testing points:
 each class lies on a few affine loci of the cone of dimension about p/2, one
@@ -73,7 +75,7 @@ def _row(terms, b):
     return d, (head, tuple(rest), b)
 
 
-def _walk_rows(rows, v):
+def _walk_rows(rows, v, total=None):
     """Yield (lo, hi) for each prefix v_0..v_{L-2} (L = len(rows)) whose last
     variable v_{L-1} has the nonempty range lo..hi.
 
@@ -81,10 +83,15 @@ def _walk_rows(rows, v):
     head * v_d + sum(a * v_i for i, a in terms) + b >= 0.  Every variable is
     nonnegative and needs at least one upper row.  The prefix is written to
     v, shared between yields.  Variables are fixed in order on an explicit
-    stack, each over the range its rows leave.
+    stack, each over the range its rows leave.  With total, an index of v
+    past the variables, v[total] holds v_0 + ... + v_{d-1} while the rows of
+    v_d are read, so that a row bounds the sum of the prefix with one term.
     """
     last = len(rows) - 1
     stack: list = []  # one iterator over the untried values of each fixed variable
+    sums = [0] * (last + 1)  # sums[d] = v_0 + ... + v_{d-1}
+    if total is not None:
+        v[total] = 0
     d = 0
     while True:
         lo, hi = 0, math.inf
@@ -108,6 +115,8 @@ def _walk_rows(rows, v):
             x = next(stack[-1], None)
             if x is not None:
                 v[d] = x
+                if total is not None:
+                    v[total] = sums[d + 1] = sums[d] + x
                 d += 1
                 break
             stack.pop()
@@ -159,29 +168,37 @@ def _walk(p, caps, min_total=0, max_total=None, strict=False, first=None, leaf=N
     return nothing and hand leaf each prefix's polygon instead.
 
     _walk_rows fixes x_1..x_{n-3} (n = p - 1) under the cone's rows, the
-    caps, the sum cap and a bound on the sum each prefix can still reach,
-    and hands over the range of x_{n-2}.  For each value v of x_{n-2}, with
-    sum total over x_1..x_{n-2}, every bound on x_n is affine in
-    x = x_{n-1}, or half of it:
+    caps, the least sum a completion must still add and the most it can
+    still reach, and hands over the range of x_{n-2}.  For each value v of
+    x_{n-2}, with sum total over x_1..x_{n-3}, every bound on x_n is affine
+    in x = x_{n-1}, or half of it:
         x_n <= min(A, x + B, 2x + C, K - x)
         x_n >= max(D, F - x, ceil((x + G) / 2))
-    for x in lo..xmax.  leaf gets (total - min_total, lo, xmax, A, B, C, D,
-    F, G, K); only the listing loops over the points themselves.
+    for x in lo..xmax.  leaf gets (total + v - min_total, lo, xmax, A, B, C,
+    D, F, G, K); only the listing loops over the points themselves.
     """
     low, high = min_total, sum(caps) if max_total is None else max_total
     n = p - 1
     m = n - 1  # x_m is x_{n-1}, x_{m-1} is x_{n-2}
+    sum_at = n + 1  # mu[sum_at] holds the sum of the fixed prefix
     levels, (x_rules, y_rules) = _cone_rows(p, strict)
     levels = [list(level) for level in levels]
-    up, down = [(i, 1) for i in range(n)], [(i, -1) for i in range(n)]
+    wrap = strict - 1  # the c below
     for d in range(1, m):
-        # x_{d+j} <= x_d + j x_1 (from x_1 + x_{d+j-1} >= x_{d+j}), so a
-        # prefix reaches at most its sum plus (r + 1) x_d + r (r + 1) / 2 x_1.
+        # Least completion: with r = n - d, the pairs (d + j, n + 1 - j),
+        # j = 1..r // 2, each sum to d + p, so the cone's wrap-around rows
+        # give x_{d+j} + x_{n+1-j} >= x_d + c, with c = -1, or 0 in the
+        # interior; for odd r the middle index u has 2u = d + p, so
+        # 2 x_u >= x_d + c.  x_{d+1}..x_n thus add at least r (x_d + c) / 2:
+        #     2 high - 2 (x_1 + ... + x_{d-1}) - (r + 2) x_d - r c >= 0.
+        # As the row one level up keeps x_1 + ... + x_{d-1} <= high, this
+        # row implies the sum cap x_1 + ... + x_d <= high and takes its place.
+        # Reach: x_{d+j} <= x_d + j x_1 (from x_1 + x_{d+j-1} >= x_{d+j}), so
+        # a prefix reaches at most its sum plus (r + 1) x_d + r (r + 1) / 2 x_1.
         r = n - d
-        levels[d] += [(-1, (), caps[d - 1]), (-1, tuple(down[1:d]), high)]
+        levels[d] += [(-1, (), caps[d - 1]), (-(r + 2), ((sum_at, -2),), 2 * high - r * wrap)]
         if d > 1 and low:  # with low = 0 the row always holds
-            reach = tuple(up[1:d]) + ((1, r * (r + 1) // 2),)
-            levels[d].append((r + 1, reach, -low))
+            levels[d].append((r + 1, ((1, r * (r + 1) // 2), (sum_at, 1)), -low))
     least0, cap = 0, caps[m - 1]
     if first is not None:
         if m > 1:
@@ -191,13 +208,24 @@ def _walk(p, caps, min_total=0, max_total=None, strict=False, first=None, leaf=N
     tops, rises, twice, fixed, falls, singles = x_rules
     up0, up1, up2, flat, falling, [(_, G)] = y_rules  # 2 x_n >= x + G (2n mod p = n - 1)
     far = high + 1  # an absent bound: x + far and 2x + far exceed K - x
-    mu = [0] * (n + 1)
+    none = -2 * far  # an absent lower bound: total + v <= high, so v + none < low - total - v
+
+    # Each form of A, B and C is affine in v with slope 0, 1 or 2, and each
+    # of D and F with slope -1, 0 or 1, fixed by p.  Filed here by
+    # coefficient and slope, each file folds to one constant per prefix.
+    v_at = m - 1
+    upper_forms = [(3 * f + (i == v_at) + (j == v_at), i, j, c)
+                   for f, rules in enumerate((up0, up1, up2)) for i, j, c in rules]
+    lower_forms = [(3 * f + 1 + (k == v_at) - (i == v_at), i, k, c)
+                   for f, rules in enumerate((flat, falling)) for i, k, c in rules]
+    upper_start = [caps[n - 1]] + [far] * 8  # x_n <= caps[n - 1] before any form
+    mu = [0] * (n + 2)
     points = []
-    for lo, hi in _walk_rows(levels, mu):
-        total = sum(mu[1 : m - 1])
+    for lo, hi in _walk_rows(levels, mu, sum_at):
+        total = mu[sum_at]
         K = high - total
         # max(least, fall - v) <= x_{n-1} <= min(top, v + rise, 2v + double)
-        mu[m - 1] = 0
+        mu[m - 1] = mu[m] = 0  # so that each form below reads v and x as 0
         least = max([least0] + [(mu[k] + c + 1) // 2 for k, c in singles]
                     + [mu[k] + c - mu[i] for i, k, c in fixed])
         fall = max([-far] + [mu[k] + c - mu[i] for i, k, c in falls])
@@ -210,15 +238,24 @@ def _walk(p, caps, min_total=0, max_total=None, strict=False, first=None, leaf=N
         # and x_{n-1} + x_n <= K - v can hold only for v in lo..hi.
         lo = max(lo, least - rise, fall - top, -((rise - fall) // 2), 3 * fall + G - 2 * K)
         hi = min(hi, K - least - max(0, (least + G + 1) // 2))
+        upper = upper_start[:]  # A = min(a0, v + a1, 2v + a2), and so B and C
+        for f, i, j, c in upper_forms:
+            if mu[i] + mu[j] - c < upper[f]:
+                upper[f] = mu[i] + mu[j] - c
+        lower = [none, 0, none, low - total, none, none]  # D = max(dm - v, d0, v + dp), and so F
+        for f, i, k, c in lower_forms:
+            if mu[k] + c - mu[i] > lower[f]:
+                lower[f] = mu[k] + c - mu[i]
+        a0, a1, a2, b0, b1, b2, c0, c1, c2 = upper
+        dm, d0, dp, fm, f0, fp = lower
         for v in range(lo, hi + 1):
             x_lo = max(least, fall - v)
             x_hi = min(top, v + rise, 2 * v + double)
-            mu[m - 1], mu[m] = v, 0  # so that each coefficient below reads x as 0
-            A = min([caps[n - 1]] + [mu[i] + mu[j] - c for i, j, c in up0])
-            B = min([far] + [mu[i] + mu[j] - c for i, j, c in up1])
-            C = min([far] + [mu[i] + mu[j] - c for i, j, c in up2])
-            D = max([0] + [mu[k] + c - mu[i] for i, k, c in flat])
-            F = max([low - total - v] + [mu[k] + c - mu[i] for i, k, c in falling])
+            A = min(a0, v + a1, 2 * v + a2)
+            B = min(b0, v + b1, 2 * v + b2)
+            C = min(c0, v + c1, 2 * v + c2)
+            D = max(d0, dm - v, v + dp)
+            F = max(f0, fm - v, v + fp)
             Kv = K - v
             # x_n >= F - x meets x_n <= x + B and 2x + C only from here on
             x_lo = max(x_lo, -((B - F) // 2), -((C - F) // 3))
@@ -229,10 +266,11 @@ def _walk(p, caps, min_total=0, max_total=None, strict=False, first=None, leaf=N
             if leaf is not None:
                 leaf(total + v - low, x_lo, xmax, A, B, C, D, F, G, Kv)
                 continue
+            mu[m - 1] = v
             for x, bottom, y_top in _columns(x_lo, xmax, A, B, C, D, F, G, Kv):
                 mu[m] = x
                 for mu[n] in range(bottom, y_top + 1):
-                    points.append(tuple(mu[1:]))
+                    points.append(tuple(mu[1:sum_at]))
     return points
 
 

@@ -340,6 +340,17 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, command):
     assert err == f"error: cannot write {target}: {reason}\n"
 
 
+@pytest.mark.parametrize("flag", ["--period", "--degree"])
+@pytest.mark.parametrize("value", ["abc", "2.5", ""])
+def test_fit_flag_not_auto_or_integer_names_the_flag(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fit", "--p", "4", "--target", "G", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: expected auto or an integer, not {value!r}" in captured.err
+
+
 def test_usage_error_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["count", "--p", "3"])  # neither --genus nor --contains
