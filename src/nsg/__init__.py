@@ -1,6 +1,5 @@
 """Exact counting and classification of numerical semigroups containing a fixed element."""
 
-from .closed_forms import UnknownFormula, closed_form_reference
 from .cone import (
     ConeModel,
     DimensionMismatch,
@@ -44,11 +43,9 @@ from .quasi import (
     InsufficientSamples,
     QuasiPolynomial,
     VerificationMismatch,
-    difference,
     fit,
     leading_coefficient_report,
     predict_quasi_period,
-    shift,
 )
 
 __version__ = "0.1.0"

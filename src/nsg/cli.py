@@ -25,13 +25,6 @@ _CONTAINS_Q = {"contains-p3": (3, (1, 2, 4, 5, 7, 8, 10, 11, 13, 14)),
                "contains-p4": (4, (1, 3, 5, 7, 9, 11, 13, 15))}
 
 
-def _default_workers() -> int:
-    text = os.environ.get("NSG_WORKERS", "1")
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise ValueError(f"NSG_WORKERS must be an integer of at least 1, not {text!r}")
-    return int(text)
-
-
 def _parse_range(text: str) -> range:
     if ".." in text:
         lo, hi = (int(v) for v in text.split("..", 1))
@@ -65,28 +58,31 @@ def _json_text(payload, indent=None) -> str:
     return json.dumps(payload, indent=indent) + "\n"
 
 
-def _emit(args, columns, rows, preamble=()):
-    """Write rows as CSV (default) or JSON, to stdout or --out."""
-    if args.format == "json":
-        text = _json_text([dict(zip(columns, row)) for row in rows], indent=2)
-    else:
-        lines = list(preamble)
-        lines.append(",".join(columns))
-        lines.extend(",".join(str(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
-    if getattr(args, "out", None):
+def _write(args, text):
+    """Write text to --out if given, else to stdout."""
+    if args.out:
         with _open_for_writing(args.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
+def _emit(args, columns, rows):
+    """Write rows as CSV (default) or JSON."""
+    if args.format == "json":
+        text = _json_text([dict(zip(columns, row)) for row in rows], indent=2)
+    else:
+        lines = [",".join(columns)]
+        lines.extend(",".join(str(v) for v in row) for row in rows)
+        text = "\n".join(lines) + "\n"
+    _write(args, text)
+
+
 def _cmd_count(args) -> int:
-    workers = args.workers if args.workers is not None else _default_workers()
     rows = []
     if args.genus is not None:
         genera = _parse_range(args.genus)
-        counts = counting.genus_window(args.p, genera[0], genera[-1], args.cls, workers)
+        counts = counting.genus_window(args.p, genera[0], genera[-1], args.cls, args.workers)
         rows = [(args.p, g, args.cls, n) for g, n in zip(genera, counts)]
         columns = ("p", "genus", "class", "count")
     else:
@@ -98,7 +94,7 @@ def _cmd_count(args) -> int:
                     raise counting.NotCoprime(f"gcd({args.p}, {q}) != 1")
                 continue
             rows.append(
-                (args.p, q, args.cls, counting.count_containing(args.p, q, args.cls, workers))
+                (args.p, q, args.cls, counting.count_containing(args.p, q, args.cls, args.workers))
             )
         columns = ("p", "q", "class", "count")
     _emit(args, columns, rows)
@@ -248,7 +244,7 @@ def _cmd_fit(args) -> int:
             "leading": [str(c) for c in report.coefficients],
             "leading_constant": report.constant,
         }
-        sys.stdout.write(_json_text(payload, indent=2))
+        text = _json_text(payload, indent=2)
     else:
         lines = [f"period: {qp.period}", f"degree: {qp.degree}"]
         for r, cons in enumerate(qp.constituents):
@@ -258,7 +254,8 @@ def _cmd_fit(args) -> int:
             lines.append(f"class {r}: {terms}")
         flag = "constant" if report.constant else "varies"
         lines.append(f"leading: {report.coefficients[0]} ({flag})")
-        sys.stdout.write("\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
+    _write(args, text)
     return 0
 
 
@@ -339,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--class", dest="cls", choices=CLASS_FILTERS, default="all"
             )
         if with_workers:
-            sp.add_argument("--workers", type=int)
+            sp.add_argument("--workers", type=int, default=1)
 
     sp = sub.add_parser("count", help="count semigroups by genus or by containment")
     sp.add_argument("--p", type=int, required=True)
@@ -359,7 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--q", type=int)
     mode = sp.add_mutually_exclusive_group()
-    mode.add_argument("--count", action="store_true", default=True)
     mode.add_argument("--list", action="store_true")
     mode.add_argument("--verify-recursions", action="store_true")
     sp.add_argument("--q-max", type=int, help="upper q for --verify-recursions")

@@ -12,10 +12,6 @@ import math
 from fractions import Fraction
 
 
-class UnknownFormula(ValueError):
-    """No closed form is registered under that name."""
-
-
 # Linear tail (slope, offset) of the genus counter for p = 5, indexed by
 # genus mod 30.
 _P5_TAIL = (
@@ -114,26 +110,6 @@ def containing_count_3(q: int) -> int:
     if math.gcd(q, 3) != 1:
         raise ValueError(f"{q} is not coprime to 3")
     return (q * q + 6 * q) // 12 + 1
-
-
-_FORMULAS = {
-    "G3": genus_count_3,
-    "G4": genus_count_4,
-    "Gsym3": symmetric_genus_count_3,
-    "Gsym4": symmetric_genus_count_4,
-    "G5": genus_count_5,
-    "Gsym5": symmetric_genus_count_5,
-    "N3": containing_count_3,
-}
-
-
-def closed_form_reference(name: str, arg: int) -> int:
-    """Evaluate the named reference formula at a nonnegative argument."""
-    if name not in _FORMULAS:
-        raise UnknownFormula(f"unknown formula {name!r}; have {sorted(_FORMULAS)}")
-    if arg < 0:
-        raise ValueError("argument must be nonnegative")
-    return _FORMULAS[name](arg)
 
 
 # Per-step increments of the containment counters when q drops by p.  Each is

@@ -175,21 +175,6 @@ class EdgeSet(Record):
             if math.gcd(*ray) != 1:
                 raise ValueError(f"ray {ray} is not primitive")
 
-    def cone_contains(self, x) -> bool:
-        """Whether x lies in the recession cone, the nonnegative span of the rays.
-
-        The rays generate exactly the cone cut out by the star inequalities,
-        so membership is the inequality check.
-        """
-        x = tuple(x)
-        if len(x) != self.p - 1:
-            raise DimensionMismatch(
-                f"expected {self.p - 1} coordinates, got {len(x)}"
-            )
-        return all(
-            x[i - 1] + x[j - 1] >= x[k - 1] for i, j, k in star_inequalities(self.p)
-        )
-
 
 @lru_cache(maxsize=None)
 def edges_of_cone_star(p: int) -> EdgeSet:

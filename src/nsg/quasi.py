@@ -1,4 +1,4 @@
-"""Quasi-polynomials: exact fitting, operators and quasi-periods.
+"""Quasi-polynomials: exact fitting, leading coefficients and quasi-periods.
 
 A quasi-polynomial of period N is given by N ordinary polynomials; evaluation
 at n uses the constituent indexed by n mod N, as a polynomial in n itself.
@@ -41,25 +41,6 @@ def _poly_eval(coeffs, n) -> Fraction:
     return value
 
 
-def _poly_shift(coeffs) -> tuple[Fraction, ...]:
-    """Coefficients of f(n + 1) from those of f(n)."""
-    out = [Fraction(0)] * len(coeffs)
-    for k, c in enumerate(coeffs):
-        for m in range(k + 1):
-            out[m] += c * math.comb(k, m)
-    return _trim(out)
-
-
-def _poly_sub(a, b) -> tuple[Fraction, ...]:
-    size = max(len(a), len(b))
-    out = [Fraction(0)] * size
-    for k, c in enumerate(a):
-        out[k] += c
-    for k, c in enumerate(b):
-        out[k] -= c
-    return _trim(out)
-
-
 class QuasiPolynomial(Record):
     """period many constituents, each a low-to-high coefficient tuple."""
 
@@ -83,8 +64,6 @@ class QuasiPolynomial(Record):
 
     def evaluate(self, n: int) -> Fraction:
         return _poly_eval(self.constituents[n % self.period], n)
-
-    __call__ = evaluate
 
 
 def fit(values, period: int, degree: int | None = None) -> QuasiPolynomial:
@@ -149,26 +128,6 @@ def _fit_exact(vals, period, degree) -> QuasiPolynomial:
                 )
         constituents.append(coeffs)
     return QuasiPolynomial(period, tuple(constituents))
-
-
-def shift(qp: QuasiPolynomial) -> QuasiPolynomial:
-    """n -> value at n + 1."""
-    n = qp.period
-    return QuasiPolynomial(
-        n, tuple(_poly_shift(qp.constituents[(r + 1) % n]) for r in range(n))
-    )
-
-
-def difference(qp: QuasiPolynomial) -> QuasiPolynomial:
-    """n -> value at n + 1 minus value at n."""
-    shifted = shift(qp)
-    return QuasiPolynomial(
-        qp.period,
-        tuple(
-            _poly_sub(shifted.constituents[r], qp.constituents[r])
-            for r in range(qp.period)
-        ),
-    )
 
 
 def predict_quasi_period(p: int, alpha) -> int:

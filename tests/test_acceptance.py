@@ -19,7 +19,6 @@ from nsg import (
     PathSystem,
     Semigroup,
     build_cone,
-    closed_form_reference,
     count_admissible,
     count_by_genus,
     count_containing,
@@ -32,11 +31,17 @@ from nsg import (
     verify_path_recursions,
 )
 from nsg.closed_forms import (
+    containing_count_3,
     containing_step_3,
     containing_step_4,
+    genus_count_3,
+    genus_count_4,
     genus_count_4_cases,
+    genus_count_5,
     pseudo_symmetric_step_3,
     pseudo_symmetric_step_4,
+    symmetric_genus_count_4,
+    symmetric_genus_count_5,
     symmetric_step_3,
     symmetric_step_4,
 )
@@ -186,16 +191,16 @@ def test_corrected_symmetric_counts_brute_force():
 
 def test_acceptance_4_closed_forms():
     g3 = genus_count_series(3, 60)
-    ok = all(closed_form_reference("G3", g) == g3[g] for g in range(61))
+    ok = all(genus_count_3(g) == g3[g] for g in range(61))
     qp3 = fit(g3, 3, 1)
-    ok &= all(closed_form_reference("G3", g) == qp3.evaluate(g) for g in range(61, 201))
+    ok &= all(genus_count_3(g) == qp3.evaluate(g) for g in range(61, 201))
     g4 = genus_count_series(4, 60)
-    ok &= all(closed_form_reference("G4", g) == g4[g] for g in range(61))
-    ok &= all(closed_form_reference("G4", g) == genus_count_4_cases(g) for g in range(101))
+    ok &= all(genus_count_4(g) == g4[g] for g in range(61))
+    ok &= all(genus_count_4(g) == genus_count_4_cases(g) for g in range(101))
     sym4 = genus_count_series(4, 60, "sym")
-    ok &= all(closed_form_reference("Gsym4", g) == sym4[g] for g in range(61))
+    ok &= all(symmetric_genus_count_4(g) == sym4[g] for g in range(61))
     ok &= all(
-        closed_form_reference("N3", q) == count_containing(3, q)
+        containing_count_3(q) == count_containing(3, q)
         for q in range(1, 121)
         if math.gcd(q, 3) == 1
     )
@@ -205,8 +210,8 @@ def test_acceptance_4_closed_forms():
 def test_acceptance_5_degree_three_family():
     full = genus_count_series(5, 40)
     sym = genus_count_series(5, 40, "sym")
-    ok = all(closed_form_reference("G5", g) == full[g] for g in range(41))
-    ok &= all(closed_form_reference("Gsym5", g) == sym[g] for g in range(41))
+    ok = all(genus_count_5(g) == full[g] for g in range(41))
+    ok &= all(symmetric_genus_count_5(g) == sym[g] for g in range(41))
     ok &= all(sym[g] == 0 for g in range(41) if g % 5 == 3)
     _report(5, ok, "cubic family with 30 residue tails, g <= 40")
 

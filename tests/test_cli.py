@@ -273,25 +273,6 @@ def test_worker_count_does_not_change_output(capsys):
     assert base == multi
 
 
-def test_env_sets_default_worker_count(monkeypatch, capsys):
-    sequential = run_cli(capsys, "count", "--p", "3", "--contains", "10")
-    monkeypatch.setenv("NSG_WORKERS", "2")
-    assert cli._default_workers() == 2
-    assert run_cli(capsys, "count", "--p", "3", "--contains", "10") == sequential
-    monkeypatch.setenv("NSG_WORKERS", "banana")
-    with pytest.raises(ValueError, match="NSG_WORKERS"):
-        cli._default_workers()
-
-
-@pytest.mark.parametrize("value", ["0", "-2", "abc"])
-def test_invalid_env_workers_is_usage_error(monkeypatch, capsys, value):
-    monkeypatch.setenv("NSG_WORKERS", value)
-    code, out, err = run_cli(capsys, "count", "--p", "3", "--genus", "4")
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and "NSG_WORKERS" in err
-
-
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("cls", ["all", "sym", "psym", "medim"])
 def test_genus_range_matches_row_by_row_counts(capsys, fmt, cls):
@@ -324,11 +305,24 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert target.read_text().splitlines()[0] == "p,genus,class,count"
 
 
-@pytest.mark.parametrize("command", ["count", "seed-tables"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fit_out_writes_what_stdout_gets(tmp_path, capsys, fmt):
+    argv = ("fit", "--p", "4", "--target", "G", "--format", fmt)
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0 and expected.startswith("period: 6" if fmt == "csv" else "{")
+    target = tmp_path / "fit.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert (code, out, err) == (0, "", "")
+    with open(target, newline="") as fh:
+        assert fh.read() == expected
+
+
+@pytest.mark.parametrize("command", ["count", "fit", "seed-tables"])
 def test_unwritable_output_is_usage_error(tmp_path, capsys, command):
     target = tmp_path / "missing" / "x.csv"
-    if command == "count":
-        argv = ("count", "--p", "4", "--genus", "1..2", "--out", str(target))
+    if command in ("count", "fit"):
+        argv = (command, "--p", "4", "--out", str(target))
+        argv += ("--genus", "1..2") if command == "count" else ("--target", "G")
         reason = "No such file or directory"
     else:
         target.parent.write_text("a file, not a directory\n")
@@ -368,9 +362,9 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: walk lost its place\n"
 
 
-# What a command must not load: multiprocessing only for a pool, dataclasses
-# and inspect never, json only for JSON output.
-_HEAVY = ("multiprocessing", "dataclasses", "inspect", "json")
+# What a command must not load: multiprocessing only for a pool, dataclasses,
+# inspect and the reference closed forms never, json only for JSON output.
+_HEAVY = ("multiprocessing", "dataclasses", "inspect", "json", "nsg.closed_forms")
 
 
 @pytest.mark.parametrize(

@@ -2,40 +2,50 @@ import math
 
 import pytest
 
-from nsg import closed_form_reference, count_containing, genus_count_series
+from nsg import count_containing, genus_count_series
 from nsg.closed_forms import (
-    UnknownFormula,
+    containing_count_3,
     containing_step_3,
     containing_step_4,
+    genus_count_3,
+    genus_count_4,
     genus_count_4_cases,
     genus_count_5,
     pseudo_symmetric_step_3,
     pseudo_symmetric_step_4,
+    symmetric_genus_count_3,
+    symmetric_genus_count_4,
     symmetric_genus_count_5,
     symmetric_step_3,
     symmetric_step_4,
 )
 
+# The short names of the parametrized cases below.
+FORMULAS = {
+    "G3": genus_count_3,
+    "G4": genus_count_4,
+    "Gsym3": symmetric_genus_count_3,
+    "Gsym4": symmetric_genus_count_4,
+    "G5": genus_count_5,
+    "Gsym5": symmetric_genus_count_5,
+}
+
 
 def test_reference_examples():
-    assert closed_form_reference("G4", 8) == 10
-    assert closed_form_reference("Gsym3", 5) == 0
-    assert closed_form_reference("G5", 6) == 8
-    assert closed_form_reference("N3", 7) == 8
+    assert genus_count_4(8) == 10
+    assert symmetric_genus_count_3(5) == 0
+    assert genus_count_5(6) == 8
+    assert containing_count_3(7) == 8
 
 
 def test_unknown_name_and_bad_args():
-    with pytest.raises(UnknownFormula):
-        closed_form_reference("G6", 1)
     with pytest.raises(ValueError):
-        closed_form_reference("G3", -1)
-    with pytest.raises(ValueError):
-        closed_form_reference("N3", 6)  # not coprime to 3
+        containing_count_3(6)  # not coprime to 3
 
 
 def test_four_case_split_matches_floor_form():
     for g in range(0, 101):
-        assert genus_count_4_cases(g) == closed_form_reference("G4", g)
+        assert genus_count_4_cases(g) == genus_count_4(g)
 
 
 @pytest.mark.parametrize(
@@ -53,7 +63,7 @@ def test_four_case_split_matches_floor_form():
 def test_formulas_match_enumeration(name, p, cls, gmax):
     series = genus_count_series(p, gmax, cls)
     for g in range(gmax + 1):
-        assert closed_form_reference(name, g) == series[g], (name, g)
+        assert FORMULAS[name](g) == series[g], (name, g)
 
 
 def test_p5_zero_rows():
@@ -68,7 +78,7 @@ def test_p5_zero_rows():
 def test_containing_formula_matches_enumeration():
     for q in range(1, 61):
         if math.gcd(q, 3) == 1:
-            assert closed_form_reference("N3", q) == count_containing(3, q)
+            assert containing_count_3(q) == count_containing(3, q)
 
 
 def test_steps_against_enumeration_p3():

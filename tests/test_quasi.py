@@ -10,12 +10,10 @@ from nsg import (
     QuasiPolynomial,
     VerificationMismatch,
     count_containing,
-    difference,
     fit,
     genus_count_series,
     leading_coefficient_report,
     predict_quasi_period,
-    shift,
 )
 from nsg.quasi import LeadingCoefficients
 import oracles
@@ -76,21 +74,14 @@ def test_operators_on_constant():
     one = fit([1] * 4, 1, 0)
     total = partial_sum(one)
     assert total.constituents == ((F(1), F(1)),)  # n + 1
-    assert difference(one).degree == -1  # identically zero
-    assert shift(one).constituents == ((F(1),),)
 
 
 def test_difference_of_g3_is_periodic_indicator():
     qp = fit(genus_count_series(3, 30), 3, 1)
-    delta = difference(qp)
-    assert delta.constituents == ((), (), (F(1),))  # zero polynomials trim empty
-
-
-def test_shift_degree_preserved():
-    qp = fit(genus_count_series(4, 60), 6, 2)
-    assert shift(qp).degree == 2
-    for n in range(40):
-        assert shift(qp).evaluate(n) == qp.evaluate(n + 1)
+    # the count steps up by one exactly after each genus 2 mod 3; twenty
+    # points per class pin each difference constituent, of degree at most 1
+    for n in range(60):
+        assert qp.evaluate(n + 1) - qp.evaluate(n) == (1 if n % 3 == 2 else 0)
 
 
 def test_partial_sum_matches_cumulative_counts():
@@ -273,9 +264,8 @@ def test_fit_roundtrip(qp):
 def test_operator_identities(qp):
     # difference of the running total gives back the shifted sequence
     total = partial_sum(qp)
-    delta = difference(total)
     for n in range(2 * qp.period + 4):
-        assert delta.evaluate(n) == qp.evaluate(n + 1)
+        assert total.evaluate(n + 1) - total.evaluate(n) == qp.evaluate(n + 1)
         assert total.evaluate(n) == sum(qp.evaluate(k) for k in range(n + 1))
 
 
