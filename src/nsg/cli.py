@@ -45,9 +45,11 @@ def _auto_or_int(text: str) -> int | None:
         raise argparse.ArgumentTypeError(f"expected auto or an integer, not {text!r}") from None
 
 
-def _open_for_writing(path):
+def _write_file(path, text):
+    """Write text to path; any failure, the final flush included, is a usage error."""
     try:
-        return open(path, "w", newline="")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
     except OSError as err:
         raise ValueError(f"cannot write {path}: {err.strerror or err}") from err
 
@@ -61,8 +63,7 @@ def _json_text(payload, indent=None) -> str:
 def _write(args, text):
     """Write text to --out if given, else to stdout."""
     if args.out:
-        with _open_for_writing(args.out) as fh:
-            fh.write(text)
+        _write_file(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -145,9 +146,12 @@ def _cmd_paths(args) -> int:
             for r in report.rows
         ]
         _emit(args, ("p", "q", "new_total", "new_symmetric", "new_pseudo", "ok"), rows)
-        if not report.ok:
-            print("recursion mismatch", file=sys.stderr)
-            return 1
+        for r in report.rows:
+            checks = {"total": r.total_ok, "symmetric": r.symmetric_ok, "pseudo": r.pseudo_ok}
+            failed = [name for name, ok in checks.items() if not ok]
+            if failed:
+                print(f"recursion mismatch at q={r.q}: {', '.join(failed)}", file=sys.stderr)
+                return 1
         return 0
     system = paths.PathSystem(args.p, args.q)
     if args.list:
@@ -198,6 +202,8 @@ def _cmd_fit(args) -> int:
         if value is not None and value < least:
             raise ValueError(f"{flag} must be at least {least}, not {value}")
     if args.target == "G":
+        if args.residue is not None:
+            raise ValueError("--residue applies only to --target N")
         direction = (1,) * (args.p - 1)
     else:
         if args.residue is None:
@@ -315,8 +321,7 @@ def _cmd_seed_tables(args) -> int:
         raise ValueError(f"cannot write {args.dir}: {err.strerror or err}") from err
     for name in TABLE_NAMES:
         target = os.path.join(args.dir, f"{name}.csv")
-        with _open_for_writing(target) as fh:
-            fh.write(table_text(name))
+        _write_file(target, table_text(name))
         print(f"wrote {target}")
     return 0
 

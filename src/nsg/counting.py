@@ -36,8 +36,10 @@ count adds the length of each last interval.
 
 from __future__ import annotations
 
+import marshal
 import math
 import os
+import sys
 from functools import lru_cache, partial
 from itertools import accumulate
 
@@ -542,12 +544,75 @@ def _count_task(task):
 CHUNKS_PER_PROCESS = 4
 
 
+def _serve(tasks, sink):
+    """In a forked child: count tasks, send the results on sink, and exit.
+
+    The results go as one marshal record with exit status 0; an exception
+    goes as one line of text with status 1.  The child leaves only through
+    os._exit, so it never runs the parent's buffered writes, atexit hooks or
+    finally blocks a second time.
+    """
+    status = 1
+    try:
+        try:
+            data, code = marshal.dumps([_count_task(task) for task in tasks]), 0
+        except BaseException as err:
+            data, code = " ".join(f"{type(err).__name__}: {err}".split()).encode(), 1
+        sink.write(data)
+        sink.flush()
+        status = code
+    finally:
+        os._exit(status)
+
+
+def _fan_out(tasks, size):
+    """The results of _count_task over tasks, from size forked processes.
+
+    Child j counts tasks[j::size] and sends its results on a pipe of its
+    own.  The parent reads every pipe to its end and reaps every child, or,
+    if it is interrupted, kills and reaps those left.  Raises RuntimeError
+    with the first failed child's message.
+    """
+    sys.stdout.flush()  # else each child would inherit, and could repeat, what is buffered
+    sys.stderr.flush()
+    pids, pipes = [], []
+    try:
+        for j in range(size):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            with open(w, "wb") as sink:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(tasks[j::size], sink)
+                pids.append(pid)
+        outputs = [pipe.read() for pipe in pipes]
+        codes = []
+        while pids:  # a pid leaves the list once reaped, so that finally reaps the rest
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1]))
+            del pids[0]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if pids:
+            from signal import SIGKILL  # only an interrupted fan-out gets here
+
+            for pid in pids:
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    for code, data in zip(codes, outputs):
+        if code:
+            reason = data.decode(errors="replace") if code > 0 else f"killed by signal {-code}"
+            raise RuntimeError(f"a counting process failed: {reason}")
+    return [result for data in outputs for result in marshal.loads(data)]
+
+
 def _counted(p, caps, low, high, class_filter, workers, total=False):
     """Counts for each sum low..high, or their total, serially or split into tasks.
 
-    'all'/'medim' split x_1 into contiguous ranges, 'sym'/'psym' by locus.
-    The pool never has more processes than CPUs or tasks; when that leaves
-    one process, the count runs in this one.
+    'all'/'medim' split x_1 into contiguous ranges, 'sym'/'psym' by locus,
+    and _fan_out counts the tasks in forked processes.  There are never more
+    processes than CPUs or tasks; when that leaves one, or os.fork does not
+    exist, the count runs in this process.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -555,7 +620,7 @@ def _counted(p, caps, low, high, class_filter, workers, total=False):
         parts = len(_class_loci(p, class_filter))
     else:
         parts = min(caps[0], high) + 1
-    size = min(workers, os.cpu_count() or 1, parts)
+    size = min(workers, os.cpu_count() or 1, parts) if hasattr(os, "fork") else 1
     if size == 1:
         return _count_task((p, caps, low, high, class_filter, total, None))
     if class_filter in ("sym", "psym"):
@@ -565,17 +630,10 @@ def _counted(p, caps, low, high, class_filter, workers, total=False):
         bounds = [parts * c // chunks for c in range(chunks + 1)]
         shares = [(a, b - 1) for a, b in zip(bounds, bounds[1:])]
     tasks = [(p, caps, low, high, class_filter, total, share) for share in shares]
-    from concurrent.futures import ProcessPoolExecutor  # only pools pay for multiprocessing
-
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        # Add the parts up as they arrive, so that few are held at once.
-        results = pool.map(_count_task, tasks)
-        if total:
-            return sum(results)
-        counts = [0] * (high - low + 1)
-        for part in results:
-            counts = [a + b for a, b in zip(counts, part)]
-        return counts
+    results = _fan_out(tasks, size)
+    if total:
+        return sum(results)
+    return [sum(column) for column in zip(*results)]
 
 
 def enumerate_by_genus(p: int, genus: int, class_filter: str = "all"):

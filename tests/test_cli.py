@@ -132,6 +132,20 @@ def test_paths_verify_recursions(capsys):
     assert all(line.endswith("true") for line in out.strip().splitlines()[1:])
 
 
+def test_recursion_mismatch_names_the_first_witness(monkeypatch, capsys):
+    count_containing = cli.counting.count_containing
+
+    def off_by_one_at_13(p, q, class_filter="all", workers=1):
+        return count_containing(p, q, class_filter, workers) + (q == 13 and class_filter == "sym")
+
+    monkeypatch.setattr(cli.counting, "count_containing", off_by_one_at_13)
+    code, out, err = run_cli(capsys, "paths", "--p", "3", "--verify-recursions", "--q-max", "20")
+    assert code == 1
+    # q = 13 is checked against q = 10 and q = 16 against q = 13: the first is the witness
+    assert err == "recursion mismatch at q=13: symmetric\n"
+    assert [line.split(",")[1] for line in out.splitlines() if line.endswith("false")] == ["13", "16"]
+
+
 def test_fit_auto_period(capsys):
     code, out, _ = run_cli(capsys, "fit", "--p", "4", "--target", "G", "--period", "auto", "--degree", "2")
     assert code == 0
@@ -219,6 +233,7 @@ def test_fit_over_sample_budget_is_refused_before_sampling(monkeypatch, capsys, 
         (("--target", "N", "--samples", "-1"), "--samples must be at least 1, not -1"),
         (("--target", "G", "--degree", "-3"), "--degree must be at least 0, not -3"),
         (("--target", "N", "--degree", "-1"), "--degree must be at least 0, not -1"),
+        (("--target", "G", "--residue", "3"), "--residue applies only to --target N"),
     ],
 )
 def test_fit_flags_out_of_range_are_usage_errors(monkeypatch, capsys, argv, message):
@@ -334,6 +349,25 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, command):
     assert err == f"error: cannot write {target}: {reason}\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["count", "fit", "seed-tables"])
+def test_output_that_fails_on_write_is_usage_error(tmp_path, capsys, command):
+    # /dev/full opens, then refuses the bytes when they are flushed.
+    if command == "count":
+        target = "/dev/full"
+        argv = ("count", "--p", "6", "--contains", "41..46", "--class", "psym", "--out", target)
+    elif command == "fit":
+        target = "/dev/full"
+        argv = ("fit", "--p", "4", "--target", "G", "--out", target)
+    else:
+        target = os.path.join(str(tmp_path), f"{cli.TABLE_NAMES[0]}.csv")
+        os.symlink("/dev/full", target)
+        argv = ("seed-tables", "--dir", str(tmp_path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: No space left on device\n"
+
+
 @pytest.mark.parametrize("flag", ["--period", "--degree"])
 @pytest.mark.parametrize("value", ["abc", "2.5", ""])
 def test_fit_flag_not_auto_or_integer_names_the_flag(capsys, flag, value):
@@ -362,9 +396,12 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: walk lost its place\n"
 
 
-# What a command must not load: multiprocessing only for a pool, dataclasses,
-# inspect and the reference closed forms never, json only for JSON output.
-_HEAVY = ("multiprocessing", "dataclasses", "inspect", "json", "nsg.closed_forms")
+# What a command must not load: multiprocessing and concurrent.futures, which
+# --workers does without, dataclasses, inspect and the reference closed forms
+# never, json only for JSON output.
+_HEAVY = (
+    "multiprocessing", "concurrent.futures", "dataclasses", "inspect", "json", "nsg.closed_forms"
+)
 
 
 @pytest.mark.parametrize(
@@ -372,6 +409,10 @@ _HEAVY = ("multiprocessing", "dataclasses", "inspect", "json", "nsg.closed_forms
     [
         (),
         ("count", "--p", "6", "--contains", "47..52", "--class", "sym"),
+        pytest.param(
+            ("count", "--p", "6", "--contains", "41..46", "--class", "psym", "--workers", "2"),
+            id="count-workers",
+        ),
         ("enumerate", "--p", "6", "--genus", "20"),
         ("paths", "--p", "4", "--q", "25", "--list"),
         ("edges", "--p", "6"),

@@ -1,6 +1,7 @@
-import concurrent.futures
 import inspect
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from unittest import mock
@@ -173,31 +174,16 @@ def test_workers_do_not_change_counts():
     assert count_containing(4, 11, "sym", workers=2) == count_containing(4, 11, "sym")
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the pool size and tasks, maps in-process."""
-
-    def __init__(self, sizes, max_workers, tasks=None):
-        sizes.append(max_workers)
-        self.tasks = tasks
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        if self.tasks is not None:
-            self.tasks.append(list(tasks))
-        return map(fn, tasks)
-
-
 def _stub_pool(monkeypatch, sizes, cpus, tasks=None):
-    monkeypatch.setattr(
-        concurrent.futures,
-        "ProcessPoolExecutor",
-        lambda max_workers: _RecordingPool(sizes, max_workers, tasks),
-    )
+    """Stand in for _fan_out: record the process count and tasks, count in-process."""
+
+    def fan_out(shares, size):
+        sizes.append(size)
+        if tasks is not None:
+            tasks.append(list(shares))
+        return [counting._count_task(task) for task in shares]
+
+    monkeypatch.setattr(counting, "_fan_out", fan_out)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: cpus)
 
 
@@ -538,6 +524,99 @@ def test_class_tasks_are_loci(monkeypatch):
         assert count_containing(6, 47, cls, workers=2) == serial[cls]
         assert parts == list(range(len(counting._class_loci(6, cls))))
     assert sizes == [2, 2]
+
+
+def _spy_fan_out(monkeypatch, sizes):
+    """Record the size of each real fan-out, on a machine taken to have two CPUs."""
+    fan_out = counting._fan_out
+
+    def spy(tasks, size):
+        sizes.append(size)
+        return fan_out(tasks, size)
+
+    monkeypatch.setattr(counting, "_fan_out", spy)
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
+
+
+@pytest.mark.parametrize("cls", ["all", "medim", "sym", "psym"])
+def test_forked_workers_count_as_serial(monkeypatch, cls):
+    serial = count_containing(6, 47, cls), genus_window(5, 6, 14, cls)
+    sizes = []
+    _spy_fan_out(monkeypatch, sizes)
+    assert (count_containing(6, 47, cls, workers=2), genus_window(5, 6, 14, cls, workers=2)) == serial
+    assert sizes == [2, 2]
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_share_fails_the_count_and_leaves_no_child(monkeypatch, capsys):
+    from nsg import cli
+
+    count_task = counting._count_task
+
+    def lost(task):
+        if task[-1] is not None and task[-1][0] > 0:
+            raise ValueError("share lost\nsecond line")
+        return count_task(task)
+
+    sizes = []
+    _spy_fan_out(monkeypatch, sizes)
+    monkeypatch.setattr(counting, "_count_task", lost)
+    # A worker's ValueError is an internal error of the count, not a usage error.
+    message = "a counting process failed: ValueError: share lost second line"
+    with pytest.raises(RuntimeError) as exc:
+        count_containing(6, 47, workers=2)
+    assert str(exc.value) == message
+    assert cli.main(["count", "--p", "6", "--contains", "47", "--workers", "2"]) == 3
+    assert capsys.readouterr() == ("", f"internal error: RuntimeError: {message}\n")
+    assert sizes == [2, 2]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_fork_counts_serially(monkeypatch):
+    serial = count_containing(6, 47, "sym")
+    sizes = []
+    _stub_pool(monkeypatch, sizes, 2)
+    monkeypatch.delattr(os, "fork")
+    assert count_containing(6, 47, "sym", workers=2) == serial
+    assert sizes == []
+
+
+_PRINT_THEN_FAN_OUT = """
+import os, sys
+from nsg import counting
+os.cpu_count = lambda: 2
+
+
+def lost(task):
+    raise LookupError("share lost")
+
+
+if sys.argv[1] == "fail":
+    counting._count_task = lost
+sys.stdout.write("written before the fan-out\\n")
+try:
+    print(counting.count_containing(6, 47, "psym", workers=2))
+except RuntimeError as err:
+    print(err)
+"""
+
+
+@pytest.mark.parametrize("mode", ["count", "fail"])
+def test_buffered_stdout_is_written_once(mode):
+    # A piped stdout is block-buffered: a child that flushed it on exit would repeat the line.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(counting.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PRINT_THEN_FAN_OUT, mode],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    last = (str(count_containing(6, 47, "psym")) if mode == "count"
+            else "a counting process failed: LookupError: share lost")
+    assert proc.stdout == f"written before the fan-out\n{last}\n"
 
 
 def test_locus_is_a_frozen_value():
