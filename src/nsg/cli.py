@@ -26,13 +26,15 @@ _CONTAINS_Q = {"contains-p3": (3, (1, 2, 4, 5, 7, 8, 10, 11, 13, 14)),
 
 
 def _parse_range(text: str) -> range:
-    if ".." in text:
-        lo, hi = (int(v) for v in text.split("..", 1))
-        if hi < lo:
-            raise ValueError(f"range {text} is empty")
-        return range(lo, hi + 1)
-    v = int(text)
-    return range(v, v + 1)
+    """N or A..B as a range; any other text is a ValueError that names it."""
+    lo, dots, hi = text.partition("..")
+    try:
+        lo, hi = int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise ValueError(f"invalid range {text!r}: expected N or A..B") from None
+    if hi < lo:
+        raise ValueError(f"range {text} is empty")
+    return range(lo, hi + 1)
 
 
 def _auto_or_int(text: str) -> int | None:
@@ -403,6 +405,8 @@ def main(argv=None) -> int:
             parser.error("--verify-recursions needs --q-max (or --q)")
         if not args.verify_recursions and args.q is None:
             parser.error("paths requires --q unless --verify-recursions is given")
+        if not args.verify_recursions and args.q_max is not None:
+            parser.error("--q-max applies only to --verify-recursions")
     try:
         return args.func(args)
     except (ValueError, ArithmeticError) as err:

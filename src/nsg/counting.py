@@ -165,7 +165,8 @@ def _walk(p, caps, min_total=0, max_total=None, strict=False, first=None, leaf=N
     """Walk the lattice points under caps in the cone, or its interior if strict.
 
     Only points whose sum lies in min_total..max_total are visited; first,
-    a pair (a, b), keeps x_1 in a..b, to split work across processes.
+    a pair (a, b), keeps x_1 in a..b, to split work across processes.  It
+    needs p >= 4, where the walk fixes x_1 before the polygon.
     Without leaf, return the points in lexicographic order.  With leaf,
     return nothing and hand leaf each prefix's polygon instead.
 
@@ -201,12 +202,8 @@ def _walk(p, caps, min_total=0, max_total=None, strict=False, first=None, leaf=N
         levels[d] += [(-1, (), caps[d - 1]), (-(r + 2), ((sum_at, -2),), 2 * high - r * wrap)]
         if d > 1 and low:  # with low = 0 the row always holds
             levels[d].append((r + 1, ((1, r * (r + 1) // 2), (sum_at, 1)), -low))
-    least0, cap = 0, caps[m - 1]
     if first is not None:
-        if m > 1:
-            levels[1] += [(1, (), -first[0]), (-1, (), first[1])]
-        else:  # p = 3: x_1 is x_{n-1}
-            least0, cap = first[0], min(cap, first[1])
+        levels[1] += [(1, (), -first[0]), (-1, (), first[1])]
     tops, rises, twice, fixed, falls, singles = x_rules
     up0, up1, up2, flat, falling, [(_, G)] = y_rules  # 2 x_n >= x + G (2n mod p = n - 1)
     far = high + 1  # an absent bound: x + far and 2x + far exceed K - x
@@ -228,10 +225,10 @@ def _walk(p, caps, min_total=0, max_total=None, strict=False, first=None, leaf=N
         K = high - total
         # max(least, fall - v) <= x_{n-1} <= min(top, v + rise, 2v + double)
         mu[m - 1] = mu[m] = 0  # so that each form below reads v and x as 0
-        least = max([least0] + [(mu[k] + c + 1) // 2 for k, c in singles]
+        least = max([0] + [(mu[k] + c + 1) // 2 for k, c in singles]
                     + [mu[k] + c - mu[i] for i, k, c in fixed])
         fall = max([-far] + [mu[k] + c - mu[i] for i, k, c in falls])
-        top = min([cap] + [mu[i] + mu[j] - c for i, j, c in tops])
+        top = min([caps[m - 1]] + [mu[i] + mu[j] - c for i, j, c in tops])
         rise = min([far] + [mu[i] + mu[j] - c for i, j, c in rises])
         double = min([far] + [mu[i] + mu[j] - c for i, j, c in twice])
         if least > top or fall > K:
@@ -505,8 +502,8 @@ def _locus_walk(locus, caps, low, high):
 def _count_task(task):
     """Counts of the points of one walk with each sum low..high, or their total.
 
-    part is None for the whole walk, or one share of a split: a range (a, b)
-    of x_1 for 'all'/'medim', the index of one locus for 'sym'/'psym'.
+    part is None for the whole walk, or, for 'all'/'medim' at p >= 4, a
+    range (a, b) of x_1: one share of a split.
     """
     p, caps, low, high, class_filter, total, part = task
     if class_filter in ("all", "medim"):
@@ -523,9 +520,8 @@ def _count_task(task):
         runs = [[0] * (high - low + 5) for _ in range(4)]
         _walk(p, caps, low, high, strict, part, partial(_polygon_runs, runs))
         return _fold_runs(runs, high - low + 1)
-    loci = _class_loci(p, class_filter)
     counts = 0 if total else [0] * (high - low + 1)
-    for locus in loci if part is None else loci[part : part + 1]:
+    for locus in _class_loci(p, class_filter):
         v = [0] * len(locus.rows)
         slope, offset = locus.slope, locus.offset - low
         for lo, hi in _locus_ranges(locus, caps, low, high, v):
@@ -572,7 +568,27 @@ def _fan_out(tasks, size):
     own.  The parent reads every pipe to its end and reaps every child, or,
     if it is interrupted, kills and reaps those left.  Raises RuntimeError
     with the first failed child's message.
+
+    While SIGTERM has its default action, the main thread holds a handler
+    for it: the parent then kills and reaps its children before it ends by
+    SIGTERM, and a child ends by it at once.
     """
+    import signal
+    import threading
+
+    parent, stopped = os.getpid(), []
+
+    def terminate(signum, frame):
+        signal.signal(signum, signal.SIG_DFL)
+        if os.getpid() != parent:  # a forked child dies of it at once
+            os.kill(os.getpid(), signum)
+        stopped.append(signum)
+        raise SystemExit(128 + signum)  # into the finally below, which kills the children
+
+    held = (threading.current_thread() is threading.main_thread()
+            and signal.getsignal(signal.SIGTERM) == signal.SIG_DFL)
+    if held:
+        signal.signal(signal.SIGTERM, terminate)
     sys.stdout.flush()  # else each child would inherit, and could repeat, what is buffered
     sys.stderr.flush()
     pids, pipes = [], []
@@ -591,14 +607,15 @@ def _fan_out(tasks, size):
             codes.append(os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1]))
             del pids[0]
     finally:
+        if held:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
         for pipe in pipes:
             pipe.close()
-        if pids:
-            from signal import SIGKILL  # only an interrupted fan-out gets here
-
-            for pid in pids:
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
+        for pid in pids:  # only an interrupted fan-out has any left
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if stopped:
+            os.kill(parent, signal.SIGTERM)
     for code, data in zip(codes, outputs):
         if code:
             reason = data.decode(errors="replace") if code > 0 else f"killed by signal {-code}"
@@ -609,27 +626,23 @@ def _fan_out(tasks, size):
 def _counted(p, caps, low, high, class_filter, workers, total=False):
     """Counts for each sum low..high, or their total, serially or split into tasks.
 
-    'all'/'medim' split x_1 into contiguous ranges, 'sym'/'psym' by locus,
-    and _fan_out counts the tasks in forked processes.  There are never more
-    processes than CPUs or tasks; when that leaves one, or os.fork does not
-    exist, the count runs in this process.
+    Only the cone walk of 'all'/'medim' at p >= 4 is split: x_1 into
+    contiguous ranges, which _fan_out counts in forked processes.  'sym'
+    and 'psym' walk loci in about p/2 variables, and at p = 3 the cone is
+    one polygon counted in closed form, so these always count here.  There
+    are never more processes than CPUs or values of x_1; when that leaves
+    one, or os.fork does not exist, the count runs in this process.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if class_filter in ("sym", "psym"):
-        parts = len(_class_loci(p, class_filter))
-    else:
-        parts = min(caps[0], high) + 1
+    parts = min(caps[0], high) + 1 if class_filter in ("all", "medim") and p > 3 else 1
     size = min(workers, os.cpu_count() or 1, parts) if hasattr(os, "fork") else 1
     if size == 1:
         return _count_task((p, caps, low, high, class_filter, total, None))
-    if class_filter in ("sym", "psym"):
-        shares = list(range(parts))
-    else:
-        chunks = min(parts, CHUNKS_PER_PROCESS * size)
-        bounds = [parts * c // chunks for c in range(chunks + 1)]
-        shares = [(a, b - 1) for a, b in zip(bounds, bounds[1:])]
-    tasks = [(p, caps, low, high, class_filter, total, share) for share in shares]
+    chunks = min(parts, CHUNKS_PER_PROCESS * size)
+    bounds = [parts * c // chunks for c in range(chunks + 1)]
+    tasks = [(p, caps, low, high, class_filter, total, (a, b - 1))
+             for a, b in zip(bounds, bounds[1:])]
     results = _fan_out(tasks, size)
     if total:
         return sum(results)

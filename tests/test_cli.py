@@ -108,7 +108,7 @@ def test_paths_long_triangle_has_no_recursion_limit(capsys, p, q, expected):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_count_contains_huge_q(capsys, workers):
     # x_1 takes 6.7e9 values and the sums run to 2e10: the count walks one
-    # polygon, holds no array over the sums and splits x_1 into a few ranges
+    # polygon, holds no array over the sums and, at p = 3, starts no process
     q = 10000000001
     code, out, err = run_cli(
         capsys, "count", "--p", "3", "--contains", str(q), "--workers", workers
@@ -203,6 +203,18 @@ def test_empty_range_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["5..", "..5", "a..b", "x"])
+@pytest.mark.parametrize(
+    "command", [("count", "--genus"), ("count", "--contains"), ("enumerate", "--genus")]
+)
+def test_malformed_range_names_text_and_form(capsys, command, text):
+    name, flag = command
+    code, out, err = run_cli(capsys, name, "--p", "5", flag, text)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: invalid range {text!r}: expected N or A..B\n"
 
 
 @pytest.mark.parametrize(
@@ -385,6 +397,15 @@ def test_usage_error_exit_codes(capsys):
     assert exc.value.code == 2
 
 
+def test_q_max_without_verify_recursions_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["paths", "--p", "4", "--q", "9", "--q-max", "30"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--q-max applies only to --verify-recursions" in err
+
+
 def test_internal_error_exits_three(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("walk lost its place")
@@ -410,7 +431,7 @@ _HEAVY = (
         (),
         ("count", "--p", "6", "--contains", "47..52", "--class", "sym"),
         pytest.param(
-            ("count", "--p", "6", "--contains", "41..46", "--class", "psym", "--workers", "2"),
+            ("count", "--p", "6", "--contains", "41..46", "--workers", "2"),
             id="count-workers",
         ),
         ("enumerate", "--p", "6", "--genus", "20"),

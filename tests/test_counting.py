@@ -1,8 +1,10 @@
 import inspect
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from unittest import mock
 
@@ -202,16 +204,16 @@ def test_pool_size_is_clamped(monkeypatch, requested, cpus, pools):
 @pytest.mark.parametrize(
     "count,cpus",
     [
-        (lambda w: count_containing(3, 30001, workers=w), 2),
-        (lambda w: count_containing(3, 10000000001, workers=w), 2),
+        (lambda w: count_containing(4, 10001, workers=w), 2),
+        (lambda w: count_containing(4, 100001, workers=w), 2),
         (lambda w: count_containing(5, 121, "medim", workers=w), 3),
         (lambda w: genus_window(5, 20, 60, workers=w), 2),
         (lambda w: genus_window(4, 0, 9, "medim", workers=w), 64),
     ],
 )
 def test_first_coordinate_splits_into_few_chunks(monkeypatch, count, cpus):
-    # One task per value of x_1 would be 10,001 tasks for q = 30001 and
-    # billions for q = 10^10 + 1; each process gets a few contiguous ranges.
+    # One task per value of x_1 would be 2,501 tasks for q = 10001 and
+    # 25,001 for q = 100001; each process gets a few contiguous ranges.
     serial = count(1)
     sizes, tasks = [], []
     _stub_pool(monkeypatch, sizes, cpus, tasks)
@@ -230,11 +232,11 @@ def test_first_coordinate_splits_into_few_chunks(monkeypatch, count, cpus):
 
 
 def test_two_workers_over_six_tasks_keep_two_processes(monkeypatch):
-    # containment_caps(3, 16)[0] == 5: six tasks, as in the benchmark's range
+    # containment_caps(4, 21)[0] == 5: six values of x_1, so six tasks
     sizes = []
     _stub_pool(monkeypatch, sizes, 2)
-    assert containment_caps(3, 16)[0] == 5
-    assert count_containing(3, 16, workers=2) == count_containing(3, 16)
+    assert containment_caps(4, 21)[0] == 5
+    assert count_containing(4, 21, workers=2) == count_containing(4, 21)
     assert sizes == [2]
 
 
@@ -276,7 +278,7 @@ def walks(draw):
         caps = (high,) * (p - 1)
     strict = draw(st.booleans())
     first = None
-    if draw(st.booleans()):
+    if p > 3 and draw(st.booleans()):  # at p = 3, x_1 is not split
         a = draw(st.integers(0, min(caps[0], high)))
         first = (a, draw(st.integers(a, min(caps[0], high))))
     return p, caps, low, high, strict, first
@@ -430,9 +432,10 @@ def test_two_workers_sum_genus_windows_elementwise(monkeypatch):
     _stub_pool(monkeypatch, sizes, 2)
     slices = [list(oracles.dfs_iter_points(5, (g,) * 4, target=g)) for g in range(6, 15)]
     assert genus_window(5, 6, 14, "all", workers=2) == [len(s) for s in slices]
+    assert sizes == [2]
     psym = [sum(1 for mu in s if _is_pseudo_symmetric_mu(5, mu)) for s in slices]
     assert genus_window(5, 6, 14, "psym", workers=2) == psym
-    assert sizes == [2, 2]
+    assert sizes == [2]  # psym counts in this process
 
 
 @pytest.mark.parametrize("p", [3, 4, 5, 6])
@@ -459,8 +462,6 @@ def test_locus_walk_matches_class_filter(walk, cls):
     kept = oracles.filter_class_points(p, caps, low, high, cls)
     by_sum = [sum(1 for mu in kept if sum(mu) == g) for g in range(low, high + 1)]
     loci = counting._class_loci(p, cls)
-    parts = [counting._count_task((p, caps, low, high, cls, False, i)) for i in range(len(loci))]
-    assert [sum(column) for column in zip(*parts)] == by_sum
     assert counting._count_task((p, caps, low, high, cls, False, None)) == by_sum
     assert counting._count_task((p, caps, low, high, cls, True, None)) == len(kept)
     walked = [mu for locus in loci for mu in counting._locus_walk(locus, caps, low, high)]
@@ -508,7 +509,7 @@ def test_class_totals_allocate_nothing_per_sum(cls, expected):
     assert peak < 64 * 1024
 
 
-def test_class_tasks_are_loci(monkeypatch):
+def test_class_counts_start_no_process(monkeypatch):
     serial = {cls: count_containing(6, 47, cls) for cls in ("sym", "psym")}
     sizes, parts = [], []
     _stub_pool(monkeypatch, sizes, 2)
@@ -522,8 +523,8 @@ def test_class_tasks_are_loci(monkeypatch):
     for cls in ("sym", "psym"):
         parts.clear()
         assert count_containing(6, 47, cls, workers=2) == serial[cls]
-        assert parts == list(range(len(counting._class_loci(6, cls))))
-    assert sizes == [2, 2]
+        assert parts == [None]  # one task: every locus, in this process
+    assert sizes == []
 
 
 def _spy_fan_out(monkeypatch, sizes):
@@ -544,7 +545,7 @@ def test_forked_workers_count_as_serial(monkeypatch, cls):
     sizes = []
     _spy_fan_out(monkeypatch, sizes)
     assert (count_containing(6, 47, cls, workers=2), genus_window(5, 6, 14, cls, workers=2)) == serial
-    assert sizes == [2, 2]
+    assert sizes == ([2, 2] if cls in ("all", "medim") else [])
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
 
@@ -574,12 +575,53 @@ def test_failed_share_fails_the_count_and_leaves_no_child(monkeypatch, capsys):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_child_ended_by_sigterm_fails_the_count(monkeypatch):
+    count_task = counting._count_task
+
+    def ended(task):
+        if task[-1][0] > 0:
+            os.kill(os.getpid(), signal.SIGTERM)
+        return count_task(task)
+
+    sizes = []
+    _spy_fan_out(monkeypatch, sizes)
+    monkeypatch.setattr(counting, "_count_task", ended)
+    held = signal.getsignal(signal.SIGTERM)
+    with pytest.raises(RuntimeError, match="a counting process failed: killed by signal 15"):
+        count_containing(6, 47, workers=2)
+    assert signal.getsignal(signal.SIGTERM) == held
+    assert sizes == [2]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_no_fork_counts_serially(monkeypatch):
-    serial = count_containing(6, 47, "sym")
+    serial = count_containing(6, 47)
     sizes = []
     _stub_pool(monkeypatch, sizes, 2)
     monkeypatch.delattr(os, "fork")
-    assert count_containing(6, 47, "sym", workers=2) == serial
+    assert count_containing(6, 47, workers=2) == serial
+    assert sizes == []
+
+
+@pytest.mark.parametrize(
+    "count,args",
+    [
+        pytest.param(count, args, id="-".join(map(str, (count.__name__,) + args)))
+        for count, args in [
+            (count_containing, (3, 30001)),
+            (genus_window, (3, 0, 40)),
+            *((count_containing, (p, q, cls)) for p, q in ((6, 47), (7, 31)) for cls in ("sym", "psym")),
+            *((genus_window, (p, 0, 20, cls)) for p in (6, 7) for cls in ("sym", "psym")),
+        ]
+    ],
+)
+def test_classes_and_p3_count_in_one_process(monkeypatch, count, args):
+    # Loci in about p/2 variables, or one closed-form polygon at p = 3: never split.
+    serial = count(*args)
+    sizes = []
+    _stub_pool(monkeypatch, sizes, 2)
+    assert count(*args, workers=2) == count(*args, workers=1000) == serial
     assert sizes == []
 
 
@@ -597,7 +639,7 @@ if sys.argv[1] == "fail":
     counting._count_task = lost
 sys.stdout.write("written before the fan-out\\n")
 try:
-    print(counting.count_containing(6, 47, "psym", workers=2))
+    print(counting.count_containing(6, 47, workers=2))
 except RuntimeError as err:
     print(err)
 """
@@ -614,9 +656,54 @@ def test_buffered_stdout_is_written_once(mode):
         text=True,
         check=True,
     )
-    last = (str(count_containing(6, 47, "psym")) if mode == "count"
+    last = (str(count_containing(6, 47)) if mode == "count"
             else "a counting process failed: LookupError: share lost")
     assert proc.stdout == f"written before the fan-out\n{last}\n"
+
+
+_COUNT_UNTIL_TERMINATED = """
+import os, sys, time
+from nsg import counting
+os.cpu_count = lambda: 2
+
+
+def sleeping(task):
+    with open(os.path.join(sys.argv[1], str(os.getpid())), "w"):
+        pass
+    time.sleep(60)
+
+
+counting._count_task = sleeping
+counting.count_containing(6, 47, workers=2)
+"""
+
+
+def test_terminated_parent_leaves_no_child(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(counting.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _COUNT_UNTIL_TERMINATED, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    pids = []
+    try:
+        deadline = time.monotonic() + 30
+        while len(os.listdir(tmp_path)) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        pids = [int(name) for name in os.listdir(tmp_path)]
+        assert len(pids) == 2
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == -signal.SIGTERM
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 def test_locus_is_a_frozen_value():
