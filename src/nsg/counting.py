@@ -19,12 +19,17 @@ edge change slope, it is counted in closed form, a sum of arithmetic
 progressions and floor sums (Beck & Robins, "Computing the Continuous
 Discretely", ch. 1).  A genus window adds the same pieces to difference
 arrays over sums, one per stride of the sum along an edge, so a whole
-window is counted in one walk without visiting a point.  Each earlier
-coordinate x_d is bounded by the least sum a completion must still add:
-the cone pairs x_{d+1}..x_n so that every pair, and twice a middle one, is
-at least x_d - 1, so a prefix whose least completion overshoots the window
-is never expanded.  x_{n-2} is bounded further by the polygon's own lines,
-so a value that leaves x_{n-1} no value is never tried.
+window is counted in one walk without visiting a point.  The ends of the
+pieces come from one function as a flat tuple, and the loop over x_{n-2}
+and both leaves are straight-line integer code: no builtin min or max, no
+list of pieces and no generator per polygon.
+
+Each earlier coordinate x_d is bounded by the least sum a completion must
+still add: the cone pairs x_{d+1}..x_n so that every pair, and twice a
+middle one, is at least x_d - 1, so a prefix whose least completion
+overshoots the window is never expanded.  x_{n-2} is bounded further by the
+polygon's own lines, so a value that leaves x_{n-1} no value is never
+tried.
 
 Symmetric and pseudo-symmetric semigroups are not found by testing points:
 each class lies on a few affine loci of the cone of dimension about p/2, one
@@ -177,8 +182,13 @@ def _walk(p, caps, min_total=0, max_total=None, strict=False, first=None, leaf=N
     in x = x_{n-1}, or half of it:
         x_n <= min(A, x + B, 2x + C, K - x)
         x_n >= max(D, F - x, ceil((x + G) / 2))
-    for x in lo..xmax.  leaf gets (total + v - min_total, lo, xmax, A, B, C,
-    D, F, G, K); only the listing loops over the points themselves.
+    for x in lo..xmax.  A, B, C, D and F, and the bounds of x_{n-1} from its
+    own rules, are each the least or the greatest of a few forms affine in
+    v, folded once per prefix to one constant per slope; the loop over v
+    finds them, lo and xmax by plain comparisons, not builtin min and max
+    calls.  leaf gets (total + v - min_total, lo,
+    xmax, A, B, C, D, F, G, K); only the listing loops over the points
+    themselves.
     """
     low, high = min_total, sum(caps) if max_total is None else max_total
     n = p - 1
@@ -210,58 +220,96 @@ def _walk(p, caps, min_total=0, max_total=None, strict=False, first=None, leaf=N
     none = -2 * far  # an absent lower bound: total + v <= high, so v + none < low - total - v
 
     # Each form of A, B and C is affine in v with slope 0, 1 or 2, and each
-    # of D and F with slope -1, 0 or 1, fixed by p.  Filed here by
-    # coefficient and slope, each file folds to one constant per prefix.
+    # of D and F with slope -1, 0 or 1, fixed by p; so is each form of the
+    # bounds of x_{n-1}, top (slopes 0, 1, 2) and least (slopes -1, 0).
+    # Filed here by coefficient and slope, each file folds to one constant
+    # per prefix.
     v_at = m - 1
     upper_forms = [(3 * f + (i == v_at) + (j == v_at), i, j, c)
-                   for f, rules in enumerate((up0, up1, up2)) for i, j, c in rules]
+                   for f, rules in enumerate((up0, up1, up2, tops + rises + twice))
+                   for i, j, c in rules]
     lower_forms = [(3 * f + 1 + (k == v_at) - (i == v_at), i, k, c)
-                   for f, rules in enumerate((flat, falling)) for i, k, c in rules]
-    upper_start = [caps[n - 1]] + [far] * 8  # x_n <= caps[n - 1] before any form
+                   for f, rules in enumerate((flat, falling, falls + fixed)) for i, k, c in rules]
+    # x_n <= caps[n - 1] and x_{n-1} <= caps[n - 2] before any form
+    upper_start = [caps[n - 1]] + [far] * 8 + [caps[m - 1], far, far]
     mu = [0] * (n + 2)
     points = []
     for lo, hi in _walk_rows(levels, mu, sum_at):
         total = mu[sum_at]
         K = high - total
-        # max(least, fall - v) <= x_{n-1} <= min(top, v + rise, 2v + double)
         mu[m - 1] = mu[m] = 0  # so that each form below reads v and x as 0
-        least = max([0] + [(mu[k] + c + 1) // 2 for k, c in singles]
-                    + [mu[k] + c - mu[i] for i, k, c in fixed])
-        fall = max([-far] + [mu[k] + c - mu[i] for i, k, c in falls])
-        top = min([caps[m - 1]] + [mu[i] + mu[j] - c for i, j, c in tops])
-        rise = min([far] + [mu[i] + mu[j] - c for i, j, c in rises])
-        double = min([far] + [mu[i] + mu[j] - c for i, j, c in twice])
+        upper = upper_start[:]  # A = min(a0, v + a1, 2v + a2), and so B, C and top
+        for f, i, j, c in upper_forms:
+            if mu[i] + mu[j] - c < upper[f]:
+                upper[f] = mu[i] + mu[j] - c
+        # D = max(dm - v, d0, v + dp), and so F and least
+        lower = [none, 0, none, low - total, none, none, -far, 0]
+        for f, i, k, c in lower_forms:
+            if mu[k] + c - mu[i] > lower[f]:
+                lower[f] = mu[k] + c - mu[i]
+        a0, a1, a2, b0, b1, b2, c0, c1, c2, top, rise, double = upper
+        dm, d0, dp, fm, f0, fp, fall, least = lower
+        for k, c in singles:
+            if (mu[k] + c + 1) // 2 > least:
+                least = (mu[k] + c + 1) // 2
+        # max(least, fall - v) <= x_{n-1} <= min(top, v + rise, 2v + double)
         if least > top or fall > K:
             continue
         # With 2 x_n >= x_{n-1} + G and the sum cap, x_{n-1} has a value
         # and x_{n-1} + x_n <= K - v can hold only for v in lo..hi.
         lo = max(lo, least - rise, fall - top, -((rise - fall) // 2), 3 * fall + G - 2 * K)
         hi = min(hi, K - least - max(0, (least + G + 1) // 2))
-        upper = upper_start[:]  # A = min(a0, v + a1, 2v + a2), and so B and C
-        for f, i, j, c in upper_forms:
-            if mu[i] + mu[j] - c < upper[f]:
-                upper[f] = mu[i] + mu[j] - c
-        lower = [none, 0, none, low - total, none, none]  # D = max(dm - v, d0, v + dp), and so F
-        for f, i, k, c in lower_forms:
-            if mu[k] + c - mu[i] > lower[f]:
-                lower[f] = mu[k] + c - mu[i]
-        a0, a1, a2, b0, b1, b2, c0, c1, c2 = upper
-        dm, d0, dp, fm, f0, fp = lower
+        KG = 2 * K - G
         for v in range(lo, hi + 1):
-            x_lo = max(least, fall - v)
-            x_hi = min(top, v + rise, 2 * v + double)
-            A = min(a0, v + a1, 2 * v + a2)
-            B = min(b0, v + b1, 2 * v + b2)
-            C = min(c0, v + c1, 2 * v + c2)
-            D = max(d0, dm - v, v + dp)
-            F = max(f0, fm - v, v + fp)
-            Kv = K - v
+            # Each bound is the least or greatest of its forms at v, folded by
+            # plain comparisons: a builtin min or max would cost a call.
+            w = v + v
+            B = v + b1
+            if b0 < B:
+                B = b0
+            if w + b2 < B:
+                B = w + b2
+            C = v + c1
+            if c0 < C:
+                C = c0
+            if w + c2 < C:
+                C = w + c2
+            F = v + fp
+            if f0 > F:
+                F = f0
+            if fm - v > F:
+                F = fm - v
             # x_n >= F - x meets x_n <= x + B and 2x + C only from here on
-            x_lo = max(x_lo, -((B - F) // 2), -((C - F) // 3))
+            x_lo = fall - v
+            if least > x_lo:
+                x_lo = least
+            if -((B - F) // 2) > x_lo:
+                x_lo = -((B - F) // 2)
+            if -((C - F) // 3) > x_lo:
+                x_lo = -((C - F) // 3)
+            D = v + dp
+            if d0 > D:
+                D = d0
+            if dm - v > D:
+                D = dm - v
+            Kv = K - v
             # x + x_n <= Kv fails past this, since x_n >= D and 2 x_n >= x + G.
-            xmax = min(x_hi, Kv - D, (2 * Kv - G) // 3)
+            xmax = v + rise
+            if top < xmax:
+                xmax = top
+            if w + double < xmax:
+                xmax = w + double
+            if Kv - D < xmax:
+                xmax = Kv - D
+            if (KG - w) // 3 < xmax:
+                xmax = (KG - w) // 3
             if xmax < x_lo:
                 continue
+            A = v + a1
+            if a0 < A:
+                A = a0
+            if w + a2 < A:
+                A = w + a2
             if leaf is not None:
                 leaf(total + v - low, x_lo, xmax, A, B, C, D, F, G, Kv)
                 continue
@@ -273,14 +321,16 @@ def _walk(p, caps, min_total=0, max_total=None, strict=False, first=None, leaf=N
     return points
 
 
-def _polygon(lo, xmax, A, B, C, D, F, G, K):
-    """The lattice points (x, y) with lo <= x <= xmax and
-        y <= min(A, x + B, 2x + C, K - x) and 2y >= max(2D, 2F - 2x, x + G).
+def _pieces(lo, xmax, A, B, C, D, F, G, K):
+    """The pieces of the polygon of the lattice points (x, y) with lo <= x <= xmax,
+        y <= min(A, x + B, 2x + C, K - x) and 2y >= max(2D, 2F - 2x, x + G),
+    as the flat tuple (xl, c, b, a, f, d, xr), or None if no x has a point.
 
-    Returns (tops, bottoms), each a list of runs (a, b, slope, b0) of x that
-    cover the same range xl..xr of the x with points.  On a top run y <= slope
-    x + b0; on a bottom run 2y >= slope x + b0, with slope -2, 0 or 1.  Both
-    lists are empty if no x has a point.
+    The x with a point form the range xl..xr.  Over it the top is 2x + C up
+    to c, then x + B up to b, then A up to a, then K - x up to xr; the
+    bottom is F - x up to f, then D up to d, then ceil((x + G) / 2) up to
+    xr.  Each piece starts past the end of the one before it, so any of them
+    may be empty.
 
     y has a value exactly where every upper line lies on or above every
     lower one, a linear inequality in x per pair, so those x form one range.
@@ -288,43 +338,79 @@ def _polygon(lo, xmax, A, B, C, D, F, G, K):
     ever moves to a smaller slope as x grows, and the lower bound's only to a
     larger one; each line ends where it first crosses a later one.
     """
-    xl = max(lo, F - A, D - B, G - 2 * B, -((B - F) // 2),
-             -((C - D) // 2), -((2 * C - G) // 3), -((C - F) // 3))
-    xr = min(xmax, 2 * A - G, K - D, (2 * K - G) // 3)
+    xl = lo
+    if F - A > xl:
+        xl = F - A
+    if D - B > xl:
+        xl = D - B
+    if G - 2 * B > xl:
+        xl = G - 2 * B
+    if -((B - F) // 2) > xl:
+        xl = -((B - F) // 2)
+    if -((C - D) // 2) > xl:
+        xl = -((C - D) // 2)
+    if -((2 * C - G) // 3) > xl:
+        xl = -((2 * C - G) // 3)
+    if -((C - F) // 3) > xl:
+        xl = -((C - F) // 3)
+    xr = xmax
+    if 2 * A - G < xr:
+        xr = 2 * A - G
+    if K - D < xr:
+        xr = K - D
+    if (2 * K - G) // 3 < xr:
+        xr = (2 * K - G) // 3
     if xl > xr or A < D or K < F:
-        return [], []
-    tops, bottoms = [], []
-    for out, lines in (
-        (tops, ((min(B - C, (A - C) // 2, (K - C) // 3), 2, C),
-                (min(A - B, (K - B) // 2), 1, B), (K - A, 0, A), (xr, -1, K))),
-        (bottoms, ((min(F - D, (2 * F - G) // 3), -2, 2 * F), (2 * D - G, 0, 2 * D), (xr, 1, G))),
-    ):
-        a = xl
-        for b, slope, b0 in lines:  # b: the last x where this line is the bound
-            if b >= a:
-                b = min(b, xr)
-                out.append((a, b, slope, b0))
-                if b == xr:
-                    break
-                a = b + 1
-    return tops, bottoms
-
-
-def _half_sum(n):
-    """Sum of floor(k / 2) over k = 0..n, extended so that each step adds floor(n / 2)."""
-    return (n // 2) * ((n + 1) // 2)
+        return None
+    # Each end is the last x where its line is the bound, clamped to lie
+    # between the end before it and xr.
+    c = B - C
+    if (A - C) // 2 < c:
+        c = (A - C) // 2
+    if (K - C) // 3 < c:
+        c = (K - C) // 3
+    if c < xl:
+        c = xl - 1
+    elif c > xr:
+        c = xr
+    b = A - B
+    if (K - B) // 2 < b:
+        b = (K - B) // 2
+    if b < c:
+        b = c
+    elif b > xr:
+        b = xr
+    a = K - A
+    if a < b:
+        a = b
+    elif a > xr:
+        a = xr
+    f = F - D
+    if (2 * F - G) // 3 < f:
+        f = (2 * F - G) // 3
+    if f < xl:
+        f = xl - 1
+    elif f > xr:
+        f = xr
+    d = 2 * D - G
+    if d < f:
+        d = f
+    elif d > xr:
+        d = xr
+    return xl, c, b, a, f, d, xr
 
 
 # Up to this many values of x, looping over them costs less than splitting
-# their polygon into runs.  Timed per polygon of the p = 5..7 walks (CPython
-# 3.11): one value costs about 1.5 us by the loop and 3.3 us as runs, the two
-# meet at 10 to 12 values, and past 40 the runs cost a quarter of the loop.
-SHORT_RANGE = 12
+# their polygon into pieces.  Timed per polygon of the p = 5..7 walks (CPython
+# 3.11): the loop costs about 0.5 us plus 0.15 to 0.2 us per value, the
+# pieces 1.4 to 2 us at any length; the two meet at 5 to 8 values, and past
+# 40 the pieces cost a quarter of the loop or less.
+SHORT_RANGE = 6
 
 
 def _columns(lo, xmax, A, B, C, D, F, G, K):
-    """(x, least y, greatest y) for each x in lo..xmax with a point (x, y),
-    y <= min(A, x + B, 2x + C, K - x) and y >= max(D, F - x, ceil((x + G) / 2))."""
+    """(x, least y, greatest y) for each x in lo..xmax with a point (x, y) of
+    the polygon of _pieces."""
     for x in range(lo, xmax + 1):
         top = A if A < x + B else x + B
         if 2 * x + C < top:
@@ -339,61 +425,93 @@ def _columns(lo, xmax, A, B, C, D, F, G, K):
 
 
 def _polygon_count(lo, xmax, A, B, C, D, F, G, K):
-    """Number of lattice points of the polygon of _polygon."""
-    if xmax - lo < SHORT_RANGE:
-        return sum(top - bottom + 1 for _, bottom, top in _columns(lo, xmax, A, B, C, D, F, G, K))
-    tops, bottoms = _polygon(lo, xmax, A, B, C, D, F, G, K)
-    count = 0
-    for a, b, slope, b0 in tops:
-        c = b - a + 1
-        count += c * (b0 + 1) + slope * (a + b) * c // 2
-    for a, b, slope, b0 in bottoms:
-        c = b - a + 1
-        if slope == 1:
-            count -= _half_sum(b + b0 + 1) - _half_sum(a + b0)
-        else:
-            count -= (b0 * c + slope * (a + b) * c // 2) // 2
-    return count
+    """Number of lattice points of the polygon of _pieces."""
+    if xmax - lo < SHORT_RANGE:  # the loop of _columns, without a generator
+        count = 0
+        for x in range(lo, xmax + 1):
+            top = A if A < x + B else x + B
+            if 2 * x + C < top:
+                top = 2 * x + C
+            if K - x < top:
+                top = K - x
+            bottom = D if D > F - x else F - x
+            if (x + G + 1) // 2 > bottom:
+                bottom = (x + G + 1) // 2
+            if bottom <= top:
+                count += top - bottom + 1
+        return count
+    pieces = _pieces(lo, xmax, A, B, C, D, F, G, K)
+    if pieces is None:
+        return 0
+    xl, c, b, a, f, d, xr = pieces
+    # Each piece adds top + 1 - bottom over its x.  The x of a piece i + 1..j
+    # sum to T(j) - T(i), T(n) = n (n + 1) / 2, and ceil((x + G) / 2) over
+    # x = i + 1..j sums to H(j + G + 1) - H(i + G + 1), H(n) = the sum of
+    # floor(k / 2) over k <= n, which is floor(n / 2) * ceil(n / 2).
+    e = xl - 1
+    Te, Tc, Tb, Ta = e * xl // 2, c * (c + 1) // 2, b * (b + 1) // 2, a * (a + 1) // 2
+    Tf, Tr = f * (f + 1) // 2, xr * (xr + 1) // 2
+    Hd, Hr = (d + G + 1) // 2 * ((d + G + 2) // 2), (xr + G + 1) // 2 * ((xr + G + 2) // 2)
+    tops = ((C + 1) * (c - e) + 2 * (Tc - Te) + (B + 1) * (b - c) + Tb - Tc
+            + (A + 1) * (a - b) + (K + 1) * (xr - a) - Tr + Ta)
+    return tops - F * (f - e) + Tf - Te - D * (d - f) - Hr + Hd
 
 
 def _polygon_runs(runs, offset, lo, xmax, A, B, C, D, F, G, K):
-    """Add the points (x, y) of the polygon of _polygon to runs by offset + x + y.
+    """Add the points (x, y) of the polygon of _pieces to runs by offset + x + y.
 
     runs[s] is a difference array of stride s: an entry v at i adds v to
     the differences at i, i + s, i + 2s, ...  Each x adds one at its least
-    sum and takes one off past its greatest, and along a run these indices
+    sum and takes one off past its greatest, and along a piece these indices
     step by a fixed stride, the slope of the bound plus one.  A half-slope
     lower bound steps by 3 over every other x, so each parity of x is a run.
     """
-    if xmax - lo < SHORT_RANGE:
+    if xmax - lo < SHORT_RANGE:  # the loop of _columns, without a generator
         diff = runs[0]
-        for x, bottom, top in _columns(lo, xmax, A, B, C, D, F, G, K):
-            diff[offset + x + bottom] += 1
-            diff[offset + x + top + 1] -= 1
+        for x in range(lo, xmax + 1):
+            top = A if A < x + B else x + B
+            if 2 * x + C < top:
+                top = 2 * x + C
+            if K - x < top:
+                top = K - x
+            bottom = D if D > F - x else F - x
+            if (x + G + 1) // 2 > bottom:
+                bottom = (x + G + 1) // 2
+            if bottom <= top:
+                diff[offset + x + bottom] += 1
+                diff[offset + x + top + 1] -= 1
         return
-    tops, bottoms = _polygon(lo, xmax, A, B, C, D, F, G, K)
-    for a, b, slope, b0 in tops:
-        s = slope + 1
-        i = offset + b0 + 1 + s * a
-        if s:
-            runs[s][i] -= 1
-            runs[s][i + s * (b - a + 1)] += 1
-        else:
-            runs[0][i] -= b - a + 1
-    for a, b, slope, b0 in bottoms:
-        if slope == 1:
-            for x in (a, a + 1):
-                k = (b - x) // 2 + 1
-                if k > 0:
-                    i = offset + (3 * x + b0 + 1) // 2
-                    runs[3][i] += 1
-                    runs[3][i + 3 * k] -= 1
-        elif slope == 0:
-            i = offset + b0 // 2 + a
-            runs[1][i] += 1
-            runs[1][i + b - a + 1] -= 1
-        else:
-            runs[0][offset + b0 // 2] += b - a + 1
+    pieces = _pieces(lo, xmax, A, B, C, D, F, G, K)
+    if pieces is None:
+        return
+    xl, c, b, a, f, d, xr = pieces
+    flat, step1, step2, step3 = runs
+    # the tops: x + y + 1 is 3x + C + 1, 2x + B + 1, x + A + 1, then K + 1
+    if c >= xl:
+        i = offset + C + 1 + 3 * xl
+        step3[i] -= 1
+        step3[i + 3 * (c - xl + 1)] += 1
+    if b > c:
+        i = offset + B + 3 + 2 * c
+        step2[i] -= 1
+        step2[i + 2 * (b - c)] += 1
+    if a > b:
+        i = offset + A + 2 + b
+        step1[i] -= 1
+        step1[i + a - b] += 1
+    if xr > a:
+        flat[offset + K + 1] -= xr - a
+    # the bottoms: x + y is F, then x + D, then (3x + G + 1) / 2 on each parity
+    if f >= xl:
+        flat[offset + F] += f - xl + 1
+    if d > f:
+        i = offset + D + f + 1
+        step1[i] += 1
+        step1[i + d - f] -= 1
+    for x in range(d + 1, min(d + 2, xr) + 1):
+        i = offset + (3 * x + G + 1) // 2
+        step3[i] += 1
+        step3[i + 3 * ((xr - x) // 2 + 1)] -= 1
 
 
 def _fold_runs(runs, size):
@@ -569,9 +687,9 @@ def _fan_out(tasks, size):
     if it is interrupted, kills and reaps those left.  Raises RuntimeError
     with the first failed child's message.
 
-    While SIGTERM has its default action, the main thread holds a handler
-    for it: the parent then kills and reaps its children before it ends by
-    SIGTERM, and a child ends by it at once.
+    For each of SIGTERM and SIGHUP whose action is the default, the main
+    thread holds a handler: the parent then kills and reaps its children
+    before it ends by the signal that arrived, and a child ends by it at once.
     """
     import signal
     import threading
@@ -585,10 +703,11 @@ def _fan_out(tasks, size):
         stopped.append(signum)
         raise SystemExit(128 + signum)  # into the finally below, which kills the children
 
-    held = (threading.current_thread() is threading.main_thread()
-            and signal.getsignal(signal.SIGTERM) == signal.SIG_DFL)
-    if held:
-        signal.signal(signal.SIGTERM, terminate)
+    held = []
+    if threading.current_thread() is threading.main_thread():
+        held = [s for s in (signal.SIGTERM, signal.SIGHUP) if signal.getsignal(s) == signal.SIG_DFL]
+    for signum in held:
+        signal.signal(signum, terminate)
     sys.stdout.flush()  # else each child would inherit, and could repeat, what is buffered
     sys.stderr.flush()
     pids, pipes = [], []
@@ -607,15 +726,15 @@ def _fan_out(tasks, size):
             codes.append(os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1]))
             del pids[0]
     finally:
-        if held:
-            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        for signum in held:
+            signal.signal(signum, signal.SIG_DFL)
         for pipe in pipes:
             pipe.close()
         for pid in pids:  # only an interrupted fan-out has any left
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         if stopped:
-            os.kill(parent, signal.SIGTERM)
+            os.kill(parent, stopped[0])
     for code, data in zip(codes, outputs):
         if code:
             reason = data.decode(errors="replace") if code > 0 else f"killed by signal {-code}"

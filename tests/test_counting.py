@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import polygon_oracle
 from nsg import (
     NotCoprime,
     count_by_genus,
@@ -385,22 +386,59 @@ def test_polygon_pieces_match_points(polygon):
     for x, y in points:
         columns.setdefault(x, []).append(y)
     assert list(counting._columns(*polygon)) == [(x, ys[0], ys[-1]) for x, ys in columns.items()]
-    # the runs cover the x with points, each with its exact bound
-    tops, bottoms = counting._polygon(*polygon)
-    top = {x: s * x + b0 for a, b, s, b0 in tops for x in range(a, b + 1)}
-    bottom = {x: -((-s * x - b0) // 2) for a, b, s, b0 in bottoms for x in range(a, b + 1)}
+    # the pieces cover the x with points, each with its exact bound
+    pieces = counting._pieces(*polygon)
+    top, bottom = {}, {}
+    if pieces is not None:
+        xl, c, b, a, f, d, xr = pieces
+        assert xl - 1 <= c <= b <= a <= xr and xl - 1 <= f <= d <= xr
+        for x in range(xl, xr + 1):
+            top[x] = 2 * x + C if x <= c else x + B if x <= b else A if x <= a else K - x
+            bottom[x] = F - x if x <= f else D if x <= d else (x + G + 1) // 2
     assert top == {x: ys[-1] for x, ys in columns.items()}
     assert bottom == {x: ys[0] for x, ys in columns.items()}
     sums = [x + y for x, y in points] or [0]
     offset, size = -min(sums), max(sums) - min(sums) + 1
     by_sum = [sums.count(s - offset) for s in range(size)] if points else [0]
-    # by pieces, and by the loop over x
-    for short in (-math.inf, math.inf):
-        with mock.patch.object(counting, "SHORT_RANGE", short):
+    # by pieces, and by the loop over x: the leaves read SHORT_RANGE when called
+    for short, splits in ((-math.inf, 2), (math.inf, 0)):
+        with mock.patch.object(counting, "SHORT_RANGE", short), \
+                mock.patch.object(counting, "_pieces", wraps=counting._pieces) as split:
             assert counting._polygon_count(*polygon) == len(points)
             runs = [[0] * (size + 4) for _ in range(4)]
             counting._polygon_runs(runs, offset, *polygon)
             assert counting._fold_runs(runs, size) == by_sum
+        assert split.call_count == splits
+
+
+@given(polygons(), st.integers(0, 3))
+@settings(max_examples=400, deadline=None)
+def test_polygon_leaves_match_run_lists(polygon, offset):
+    # Against the leaves that listed each bound's runs of x before counting.
+    lo, xmax, A, B, C, D, F, G, K = polygon
+    tops, bottoms = [], []
+    pieces = counting._pieces(*polygon)
+    if pieces is not None:
+        xl, c, b, a, f, d, xr = pieces
+        for out, ends in (
+            (tops, ((c, 2, C), (b, 1, B), (a, 0, A), (xr, -1, K))),
+            (bottoms, ((f, -2, 2 * F), (d, 0, 2 * D), (xr, 1, G))),
+        ):
+            start = xl
+            for end, slope, b0 in ends:
+                if end >= start:
+                    out.append((start, end, slope, b0))
+                    start = end + 1
+    assert (tops, bottoms) == polygon_oracle._polygon(*polygon)
+    size = 200  # past every sum of a point, plus offset
+    for short in (-math.inf, math.inf):
+        with mock.patch.object(counting, "SHORT_RANGE", short), \
+                mock.patch.object(polygon_oracle, "SHORT_RANGE", short):
+            assert counting._polygon_count(*polygon) == polygon_oracle._polygon_count(*polygon)
+            runs, expected = ([[0] * (size + 4) for _ in range(4)] for _ in range(2))
+            counting._polygon_runs(runs, offset, *polygon)
+            polygon_oracle._polygon_runs(expected, offset, *polygon)
+            assert counting._fold_runs(runs, size) == counting._fold_runs(expected, size)
 
 
 @given(st.integers(1, 400), st.sampled_from(("all", "medim")))
@@ -586,10 +624,10 @@ def test_child_ended_by_sigterm_fails_the_count(monkeypatch):
     sizes = []
     _spy_fan_out(monkeypatch, sizes)
     monkeypatch.setattr(counting, "_count_task", ended)
-    held = signal.getsignal(signal.SIGTERM)
+    held = signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGHUP)
     with pytest.raises(RuntimeError, match="a counting process failed: killed by signal 15"):
         count_containing(6, 47, workers=2)
-    assert signal.getsignal(signal.SIGTERM) == held
+    assert (signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGHUP)) == held
     assert sizes == [2]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -678,7 +716,9 @@ counting.count_containing(6, 47, workers=2)
 """
 
 
-def test_terminated_parent_leaves_no_child(tmp_path):
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])
+def test_terminated_parent_leaves_no_child(tmp_path, signum):
+    # The parent ends by the signal that arrived; SIGHUP comes from a closed terminal.
     src = os.path.dirname(os.path.dirname(os.path.abspath(counting.__file__)))
     proc = subprocess.Popen(
         [sys.executable, "-c", _COUNT_UNTIL_TERMINATED, str(tmp_path)],
@@ -691,8 +731,8 @@ def test_terminated_parent_leaves_no_child(tmp_path):
             time.sleep(0.01)
         pids = [int(name) for name in os.listdir(tmp_path)]
         assert len(pids) == 2
-        proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=30) == -signal.SIGTERM
+        proc.send_signal(signum)
+        assert proc.wait(timeout=30) == -signum
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
