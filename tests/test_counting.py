@@ -716,9 +716,17 @@ counting.count_containing(6, 47, workers=2)
 """
 
 
-@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])
-def test_terminated_parent_leaves_no_child(tmp_path, signum):
-    # The parent ends by the signal that arrived; SIGHUP comes from a closed terminal.
+def test_terminated_parent_leaves_no_child(tmp_path):
+    _signal_parent_and_check_children(tmp_path, signal.SIGTERM)
+
+
+def test_hung_up_parent_leaves_no_child(tmp_path):
+    # SIGHUP comes from a closed terminal.
+    _signal_parent_and_check_children(tmp_path, signal.SIGHUP)
+
+
+def _signal_parent_and_check_children(tmp_path, signum):
+    # The parent ends by the signal that arrived.
     src = os.path.dirname(os.path.dirname(os.path.abspath(counting.__file__)))
     proc = subprocess.Popen(
         [sys.executable, "-c", _COUNT_UNTIL_TERMINATED, str(tmp_path)],
