@@ -343,7 +343,10 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--class", dest="cls", choices=CLASS_FILTERS, default="all"
             )
         if with_workers:
-            sp.add_argument("--workers", type=int, default=1)
+            sp.add_argument(
+                "--workers", type=int, default=1,
+                help="accepted for compatibility; at least 1; every count runs in one process",
+            )
 
     sp = sub.add_parser("count", help="count semigroups by genus or by containment")
     sp.add_argument("--p", type=int, required=True)
@@ -407,6 +410,8 @@ def main(argv=None) -> int:
             parser.error("paths requires --q unless --verify-recursions is given")
         if not args.verify_recursions and args.q_max is not None:
             parser.error("--q-max applies only to --verify-recursions")
+        if args.q is not None and args.q_max is not None:
+            parser.error("--q and --q-max cannot be given together")
     try:
         return args.func(args)
     except (ValueError, ArithmeticError) as err:

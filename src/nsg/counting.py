@@ -41,10 +41,7 @@ count adds the length of each last interval.
 
 from __future__ import annotations
 
-import marshal
 import math
-import os
-import sys
 from functools import lru_cache, partial
 from itertools import accumulate
 
@@ -166,14 +163,12 @@ def _cone_rows(p: int, strict: bool):
     return tuple(map(tuple, levels)), tuple(tuple(map(tuple, rules)) for rules in tails)
 
 
-def _walk(p, caps, min_total=0, max_total=None, strict=False, first=None, leaf=None):
+def _walk(p, caps, min_total=0, max_total=None, strict=False, leaf=None):
     """Walk the lattice points under caps in the cone, or its interior if strict.
 
-    Only points whose sum lies in min_total..max_total are visited; first,
-    a pair (a, b), keeps x_1 in a..b, to split work across processes.  It
-    needs p >= 4, where the walk fixes x_1 before the polygon.
-    Without leaf, return the points in lexicographic order.  With leaf,
-    return nothing and hand leaf each prefix's polygon instead.
+    Only points whose sum lies in min_total..max_total are visited.  Without
+    leaf, return the points in lexicographic order.  With leaf, return
+    nothing and hand leaf each prefix's polygon instead.
 
     _walk_rows fixes x_1..x_{n-3} (n = p - 1) under the cone's rows, the
     caps, the least sum a completion must still add and the most it can
@@ -186,9 +181,8 @@ def _walk(p, caps, min_total=0, max_total=None, strict=False, first=None, leaf=N
     own rules, are each the least or the greatest of a few forms affine in
     v, folded once per prefix to one constant per slope; the loop over v
     finds them, lo and xmax by plain comparisons, not builtin min and max
-    calls.  leaf gets (total + v - min_total, lo,
-    xmax, A, B, C, D, F, G, K); only the listing loops over the points
-    themselves.
+    calls.  leaf gets (total + v - min_total, lo, xmax, A, B, C, D, F, G, K);
+    only the listing loops over the points themselves.
     """
     low, high = min_total, sum(caps) if max_total is None else max_total
     n = p - 1
@@ -212,8 +206,6 @@ def _walk(p, caps, min_total=0, max_total=None, strict=False, first=None, leaf=N
         levels[d] += [(-1, (), caps[d - 1]), (-(r + 2), ((sum_at, -2),), 2 * high - r * wrap)]
         if d > 1 and low:  # with low = 0 the row always holds
             levels[d].append((r + 1, ((1, r * (r + 1) // 2), (sum_at, 1)), -low))
-    if first is not None:
-        levels[1] += [(1, (), -first[0]), (-1, (), first[1])]
     tops, rises, twice, fixed, falls, singles = x_rules
     up0, up1, up2, flat, falling, [(_, G)] = y_rules  # 2 x_n >= x + G (2n mod p = n - 1)
     far = high + 1  # an absent bound: x + far and 2x + far exceed K - x
@@ -617,13 +609,13 @@ def _locus_walk(locus, caps, low, high):
             yield tuple(sum(a * v[i] for i, a in terms) + b for terms, b in locus.forms)
 
 
-def _count_task(task):
+def _counted(p, caps, low, high, class_filter, workers, total=False):
     """Counts of the points of one walk with each sum low..high, or their total.
 
-    part is None for the whole walk, or, for 'all'/'medim' at p >= 4, a
-    range (a, b) of x_1: one share of a split.
+    workers is checked and nothing more: every count runs in this process.
     """
-    p, caps, low, high, class_filter, total, part = task
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     if class_filter in ("all", "medim"):
         strict = class_filter == "medim"
         if total:
@@ -633,10 +625,10 @@ def _count_task(task):
                 nonlocal count
                 count += _polygon_count(*polygon)
 
-            _walk(p, caps, low, high, strict, part, add)
+            _walk(p, caps, low, high, strict, add)
             return count
         runs = [[0] * (high - low + 5) for _ in range(4)]
-        _walk(p, caps, low, high, strict, part, partial(_polygon_runs, runs))
+        _walk(p, caps, low, high, strict, partial(_polygon_runs, runs))
         return _fold_runs(runs, high - low + 1)
     counts = 0 if total else [0] * (high - low + 1)
     for locus in _class_loci(p, class_filter):
@@ -651,121 +643,6 @@ def _count_task(task):
                 for i in range(slope * lo + offset, slope * hi + offset + 1, slope):
                     counts[i] += 1
     return counts
-
-
-# Tasks per process when x_1 is split: a few, so that an uneven share of the
-# walk still leaves work for the others, but not one per value of x_1.
-CHUNKS_PER_PROCESS = 4
-
-
-def _serve(tasks, sink):
-    """In a forked child: count tasks, send the results on sink, and exit.
-
-    The results go as one marshal record with exit status 0; an exception
-    goes as one line of text with status 1.  The child leaves only through
-    os._exit, so it never runs the parent's buffered writes, atexit hooks or
-    finally blocks a second time.
-    """
-    status = 1
-    try:
-        try:
-            data, code = marshal.dumps([_count_task(task) for task in tasks]), 0
-        except BaseException as err:
-            data, code = " ".join(f"{type(err).__name__}: {err}".split()).encode(), 1
-        sink.write(data)
-        sink.flush()
-        status = code
-    finally:
-        os._exit(status)
-
-
-def _fan_out(tasks, size):
-    """The results of _count_task over tasks, from size forked processes.
-
-    Child j counts tasks[j::size] and sends its results on a pipe of its
-    own.  The parent reads every pipe to its end and reaps every child, or,
-    if it is interrupted, kills and reaps those left.  Raises RuntimeError
-    with the first failed child's message.
-
-    For each of SIGTERM and SIGHUP whose action is the default, the main
-    thread holds a handler: the parent then kills and reaps its children
-    before it ends by the signal that arrived, and a child ends by it at once.
-    """
-    import signal
-    import threading
-
-    parent, stopped = os.getpid(), []
-
-    def terminate(signum, frame):
-        signal.signal(signum, signal.SIG_DFL)
-        if os.getpid() != parent:  # a forked child dies of it at once
-            os.kill(os.getpid(), signum)
-        stopped.append(signum)
-        raise SystemExit(128 + signum)  # into the finally below, which kills the children
-
-    held = []
-    if threading.current_thread() is threading.main_thread():
-        held = [s for s in (signal.SIGTERM, signal.SIGHUP) if signal.getsignal(s) == signal.SIG_DFL]
-    for signum in held:
-        signal.signal(signum, terminate)
-    sys.stdout.flush()  # else each child would inherit, and could repeat, what is buffered
-    sys.stderr.flush()
-    pids, pipes = [], []
-    try:
-        for j in range(size):
-            r, w = os.pipe()
-            pipes.append(open(r, "rb"))
-            with open(w, "wb") as sink:
-                pid = os.fork()
-                if pid == 0:
-                    _serve(tasks[j::size], sink)
-                pids.append(pid)
-        outputs = [pipe.read() for pipe in pipes]
-        codes = []
-        while pids:  # a pid leaves the list once reaped, so that finally reaps the rest
-            codes.append(os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1]))
-            del pids[0]
-    finally:
-        for signum in held:
-            signal.signal(signum, signal.SIG_DFL)
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:  # only an interrupted fan-out has any left
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        if stopped:
-            os.kill(parent, stopped[0])
-    for code, data in zip(codes, outputs):
-        if code:
-            reason = data.decode(errors="replace") if code > 0 else f"killed by signal {-code}"
-            raise RuntimeError(f"a counting process failed: {reason}")
-    return [result for data in outputs for result in marshal.loads(data)]
-
-
-def _counted(p, caps, low, high, class_filter, workers, total=False):
-    """Counts for each sum low..high, or their total, serially or split into tasks.
-
-    Only the cone walk of 'all'/'medim' at p >= 4 is split: x_1 into
-    contiguous ranges, which _fan_out counts in forked processes.  'sym'
-    and 'psym' walk loci in about p/2 variables, and at p = 3 the cone is
-    one polygon counted in closed form, so these always count here.  There
-    are never more processes than CPUs or values of x_1; when that leaves
-    one, or os.fork does not exist, the count runs in this process.
-    """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    parts = min(caps[0], high) + 1 if class_filter in ("all", "medim") and p > 3 else 1
-    size = min(workers, os.cpu_count() or 1, parts) if hasattr(os, "fork") else 1
-    if size == 1:
-        return _count_task((p, caps, low, high, class_filter, total, None))
-    chunks = min(parts, CHUNKS_PER_PROCESS * size)
-    bounds = [parts * c // chunks for c in range(chunks + 1)]
-    tasks = [(p, caps, low, high, class_filter, total, (a, b - 1))
-             for a, b in zip(bounds, bounds[1:])]
-    results = _fan_out(tasks, size)
-    if total:
-        return sum(results)
-    return [sum(column) for column in zip(*results)]
 
 
 def enumerate_by_genus(p: int, genus: int, class_filter: str = "all"):

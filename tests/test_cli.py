@@ -108,7 +108,7 @@ def test_paths_long_triangle_has_no_recursion_limit(capsys, p, q, expected):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_count_contains_huge_q(capsys, workers):
     # x_1 takes 6.7e9 values and the sums run to 2e10: the count walks one
-    # polygon, holds no array over the sums and, at p = 3, starts no process
+    # polygon and holds no array over the sums
     q = 10000000001
     code, out, err = run_cli(
         capsys, "count", "--p", "3", "--contains", str(q), "--workers", workers
@@ -406,6 +406,16 @@ def test_q_max_without_verify_recursions_is_usage_error(capsys):
     assert "--q-max applies only to --verify-recursions" in err
 
 
+def test_q_and_q_max_together_are_usage_error(capsys):
+    # --verify-recursions reads one upper q: given both, neither is dropped silently.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["paths", "--p", "4", "--verify-recursions", "--q", "30", "--q-max", "12"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--q and --q-max cannot be given together" in err
+
+
 def test_internal_error_exits_three(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("walk lost its place")
@@ -417,11 +427,12 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: walk lost its place\n"
 
 
-# What a command must not load: multiprocessing and concurrent.futures, which
-# --workers does without, dataclasses, inspect and the reference closed forms
-# never, json only for JSON output.
+# What a command must not load: multiprocessing, concurrent.futures and
+# signal, since --workers starts no process, dataclasses, inspect and the
+# reference closed forms never, json only for JSON output.
 _HEAVY = (
-    "multiprocessing", "concurrent.futures", "dataclasses", "inspect", "json", "nsg.closed_forms"
+    "multiprocessing", "concurrent.futures", "signal", "dataclasses", "inspect", "json",
+    "nsg.closed_forms",
 )
 
 

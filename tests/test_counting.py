@@ -1,10 +1,7 @@
 import inspect
 import math
 import os
-import signal
-import subprocess
 import sys
-import time
 import tracemalloc
 from unittest import mock
 
@@ -177,68 +174,13 @@ def test_workers_do_not_change_counts():
     assert count_containing(4, 11, "sym", workers=2) == count_containing(4, 11, "sym")
 
 
-def _stub_pool(monkeypatch, sizes, cpus, tasks=None):
-    """Stand in for _fan_out: record the process count and tasks, count in-process."""
+def _forbid_fork(monkeypatch):
+    """Fail the test at any fork: every count runs in this process."""
 
-    def fan_out(shares, size):
-        sizes.append(size)
-        if tasks is not None:
-            tasks.append(list(shares))
-        return [counting._count_task(task) for task in shares]
+    def fork():
+        raise AssertionError("a count forked a process")
 
-    monkeypatch.setattr(counting, "_fan_out", fan_out)
-    monkeypatch.setattr(counting.os, "cpu_count", lambda: cpus)
-
-
-@pytest.mark.parametrize(
-    "requested,cpus,pools",
-    [(2, 2, [2]), (1000, 2, [2]), (1000, 64, [10]), (3, 64, [3]), (4, 1, []), (4, None, [])],
-)
-def test_pool_size_is_clamped(monkeypatch, requested, cpus, pools):
-    # count_by_genus(4, 9) splits into 10 tasks, one per first coordinate 0..9
-    sizes = []
-    _stub_pool(monkeypatch, sizes, cpus)
-    assert count_by_genus(4, 9, workers=requested) == count_by_genus(4, 9) == 12
-    assert sizes == pools
-
-
-@pytest.mark.parametrize(
-    "count,cpus",
-    [
-        (lambda w: count_containing(4, 10001, workers=w), 2),
-        (lambda w: count_containing(4, 100001, workers=w), 2),
-        (lambda w: count_containing(5, 121, "medim", workers=w), 3),
-        (lambda w: genus_window(5, 20, 60, workers=w), 2),
-        (lambda w: genus_window(4, 0, 9, "medim", workers=w), 64),
-    ],
-)
-def test_first_coordinate_splits_into_few_chunks(monkeypatch, count, cpus):
-    # One task per value of x_1 would be 2,501 tasks for q = 10001 and
-    # 25,001 for q = 100001; each process gets a few contiguous ranges.
-    serial = count(1)
-    sizes, tasks = [], []
-    _stub_pool(monkeypatch, sizes, cpus, tasks)
-    assert count(1000) == serial
-    [size], [shares] = sizes, tasks
-    assert len(shares) <= counting.CHUNKS_PER_PROCESS * size
-    ranges = [task[-1] for task in shares]
-    assert ranges[0][0] == 0 and all(a <= b for a, b in ranges)
-    assert all(b + 1 == a for (_, b), (a, _) in zip(ranges, ranges[1:]))
-    # every share alone is counted as the serial walk counts it
-    one = [counting._count_task(task) for task in shares]
-    if isinstance(serial, int):
-        assert sum(one) == serial
-    else:
-        assert [sum(column) for column in zip(*one)] == serial
-
-
-def test_two_workers_over_six_tasks_keep_two_processes(monkeypatch):
-    # containment_caps(4, 21)[0] == 5: six values of x_1, so six tasks
-    sizes = []
-    _stub_pool(monkeypatch, sizes, 2)
-    assert containment_caps(4, 21)[0] == 5
-    assert count_containing(4, 21, workers=2) == count_containing(4, 21)
-    assert sizes == [2]
+    monkeypatch.setattr(os, "fork", fork, raising=False)
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -278,38 +220,29 @@ def walks(draw):
         low = draw(st.integers(1, high))
         caps = (high,) * (p - 1)
     strict = draw(st.booleans())
-    first = None
-    if p > 3 and draw(st.booleans()):  # at p = 3, x_1 is not split
-        a = draw(st.integers(0, min(caps[0], high)))
-        first = (a, draw(st.integers(a, min(caps[0], high))))
-    return p, caps, low, high, strict, first
+    return p, caps, low, high, strict
 
 
 @given(walks(), st.sampled_from(("sym", "psym")))
 @settings(max_examples=120, deadline=None)
 def test_walk_matches_plain_dfs(walk, cls):
-    p, caps, low, high, strict, first = walk
-    a, b = first or (0, high)
+    p, caps, low, high, strict = walk
     points = [
         mu
         for mu in oracles.dfs_iter_points(p, caps, max_total=high, strict=strict)
-        if sum(mu) >= low and a <= mu[0] <= b
+        if sum(mu) >= low
     ]
     # list the vectors
-    assert counting._walk(p, caps, low, high, strict, first) == points
+    assert counting._walk(p, caps, low, high, strict) == points
     # count by sum, and in total
     series = oracles.dfs_sum_series(p, caps, high, strict)
-    task = (p, caps, low, high, "medim" if strict else "all", False, None)
-    assert counting._count_task(task) == series[low:]
-    assert counting._count_task(task[:-2] + (True, None)) == sum(series[low:])
-    if first is not None:
-        by_sum = [sum(1 for mu in points if sum(mu) == g) for g in range(low, high + 1)]
-        assert counting._count_task(task[:-1] + (first,)) == by_sum
-        assert counting._count_task(task[:-2] + (True, first)) == len(points)
+    walk_cls = "medim" if strict else "all"
+    assert counting._counted(p, caps, low, high, walk_cls, 1, False) == series[low:]
+    assert counting._counted(p, caps, low, high, walk_cls, 1, True) == sum(series[low:])
     # filter by class
     plain = oracles.dfs_iter_points(p, caps, max_total=high)
     kept = [mu for mu in plain if sum(mu) >= low and PREDICATES[cls](p, mu)]
-    by_class = counting._count_task((p, caps, low, high, cls, False, None))
+    by_class = counting._counted(p, caps, low, high, cls, 1, False)
     assert by_class == [sum(1 for mu in kept if sum(mu) == g) for g in range(low, high + 1)]
     if low == 0:
         # count the whole walk
@@ -330,7 +263,7 @@ def test_walk_matches_plain_dfs(walk, cls):
 def test_least_completion_row_holds_at_every_point(walk):
     # x_{d+1}..x_n add at least r (x_d + c) / 2 to the prefix x_1..x_d, with
     # r = n - d and c = -1, or 0 in the interior: the row _walk puts on x_d.
-    p, caps, _, high, strict, _ = walk
+    p, caps, _, high, strict = walk
     n, c = p - 1, strict - 1
     for mu in oracles.dfs_iter_points(p, caps, max_total=high, strict=strict):
         for d in range(1, n - 1):
@@ -466,14 +399,11 @@ def test_p5_genus_windows_match_closed_form(low, width):
 
 
 def test_two_workers_sum_genus_windows_elementwise(monkeypatch):
-    sizes = []
-    _stub_pool(monkeypatch, sizes, 2)
+    _forbid_fork(monkeypatch)
     slices = [list(oracles.dfs_iter_points(5, (g,) * 4, target=g)) for g in range(6, 15)]
     assert genus_window(5, 6, 14, "all", workers=2) == [len(s) for s in slices]
-    assert sizes == [2]
     psym = [sum(1 for mu in s if _is_pseudo_symmetric_mu(5, mu)) for s in slices]
     assert genus_window(5, 6, 14, "psym", workers=2) == psym
-    assert sizes == [2]  # psym counts in this process
 
 
 @pytest.mark.parametrize("p", [3, 4, 5, 6])
@@ -496,12 +426,12 @@ def test_enumerate_walks_each_class_directly(p):
 @given(walks(), st.sampled_from(("sym", "psym")))
 @settings(max_examples=150, deadline=None)
 def test_locus_walk_matches_class_filter(walk, cls):
-    p, caps, low, high, _, _ = walk
+    p, caps, low, high, _ = walk
     kept = oracles.filter_class_points(p, caps, low, high, cls)
     by_sum = [sum(1 for mu in kept if sum(mu) == g) for g in range(low, high + 1)]
     loci = counting._class_loci(p, cls)
-    assert counting._count_task((p, caps, low, high, cls, False, None)) == by_sum
-    assert counting._count_task((p, caps, low, high, cls, True, None)) == len(kept)
+    assert counting._counted(p, caps, low, high, cls, 1, False) == by_sum
+    assert counting._counted(p, caps, low, high, cls, 1, True) == len(kept)
     walked = [mu for locus in loci for mu in counting._locus_walk(locus, caps, low, high)]
     assert sorted(walked) == kept
 
@@ -549,97 +479,17 @@ def test_class_totals_allocate_nothing_per_sum(cls, expected):
 
 def test_class_counts_start_no_process(monkeypatch):
     serial = {cls: count_containing(6, 47, cls) for cls in ("sym", "psym")}
-    sizes, parts = [], []
-    _stub_pool(monkeypatch, sizes, 2)
-    count_task = counting._count_task
-
-    def recording(task):
-        parts.append(task[-1])
-        return count_task(task)
-
-    monkeypatch.setattr(counting, "_count_task", recording)
+    _forbid_fork(monkeypatch)
     for cls in ("sym", "psym"):
-        parts.clear()
         assert count_containing(6, 47, cls, workers=2) == serial[cls]
-        assert parts == [None]  # one task: every locus, in this process
-    assert sizes == []
-
-
-def _spy_fan_out(monkeypatch, sizes):
-    """Record the size of each real fan-out, on a machine taken to have two CPUs."""
-    fan_out = counting._fan_out
-
-    def spy(tasks, size):
-        sizes.append(size)
-        return fan_out(tasks, size)
-
-    monkeypatch.setattr(counting, "_fan_out", spy)
-    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
 
 
 @pytest.mark.parametrize("cls", ["all", "medim", "sym", "psym"])
 def test_forked_workers_count_as_serial(monkeypatch, cls):
+    # --workers 2 is accepted and counts in this process, as workers=1 does.
     serial = count_containing(6, 47, cls), genus_window(5, 6, 14, cls)
-    sizes = []
-    _spy_fan_out(monkeypatch, sizes)
+    _forbid_fork(monkeypatch)
     assert (count_containing(6, 47, cls, workers=2), genus_window(5, 6, 14, cls, workers=2)) == serial
-    assert sizes == ([2, 2] if cls in ("all", "medim") else [])
-    with pytest.raises(ChildProcessError):  # every child was reaped
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_failed_share_fails_the_count_and_leaves_no_child(monkeypatch, capsys):
-    from nsg import cli
-
-    count_task = counting._count_task
-
-    def lost(task):
-        if task[-1] is not None and task[-1][0] > 0:
-            raise ValueError("share lost\nsecond line")
-        return count_task(task)
-
-    sizes = []
-    _spy_fan_out(monkeypatch, sizes)
-    monkeypatch.setattr(counting, "_count_task", lost)
-    # A worker's ValueError is an internal error of the count, not a usage error.
-    message = "a counting process failed: ValueError: share lost second line"
-    with pytest.raises(RuntimeError) as exc:
-        count_containing(6, 47, workers=2)
-    assert str(exc.value) == message
-    assert cli.main(["count", "--p", "6", "--contains", "47", "--workers", "2"]) == 3
-    assert capsys.readouterr() == ("", f"internal error: RuntimeError: {message}\n")
-    assert sizes == [2, 2]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_child_ended_by_sigterm_fails_the_count(monkeypatch):
-    count_task = counting._count_task
-
-    def ended(task):
-        if task[-1][0] > 0:
-            os.kill(os.getpid(), signal.SIGTERM)
-        return count_task(task)
-
-    sizes = []
-    _spy_fan_out(monkeypatch, sizes)
-    monkeypatch.setattr(counting, "_count_task", ended)
-    held = signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGHUP)
-    with pytest.raises(RuntimeError, match="a counting process failed: killed by signal 15"):
-        count_containing(6, 47, workers=2)
-    assert (signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGHUP)) == held
-    assert sizes == [2]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_no_fork_counts_serially(monkeypatch):
-    serial = count_containing(6, 47)
-    sizes = []
-    _stub_pool(monkeypatch, sizes, 2)
-    monkeypatch.delattr(os, "fork")
-    assert count_containing(6, 47, workers=2) == serial
-    assert sizes == []
 
 
 @pytest.mark.parametrize(
@@ -655,103 +505,9 @@ def test_no_fork_counts_serially(monkeypatch):
     ],
 )
 def test_classes_and_p3_count_in_one_process(monkeypatch, count, args):
-    # Loci in about p/2 variables, or one closed-form polygon at p = 3: never split.
     serial = count(*args)
-    sizes = []
-    _stub_pool(monkeypatch, sizes, 2)
+    _forbid_fork(monkeypatch)
     assert count(*args, workers=2) == count(*args, workers=1000) == serial
-    assert sizes == []
-
-
-_PRINT_THEN_FAN_OUT = """
-import os, sys
-from nsg import counting
-os.cpu_count = lambda: 2
-
-
-def lost(task):
-    raise LookupError("share lost")
-
-
-if sys.argv[1] == "fail":
-    counting._count_task = lost
-sys.stdout.write("written before the fan-out\\n")
-try:
-    print(counting.count_containing(6, 47, workers=2))
-except RuntimeError as err:
-    print(err)
-"""
-
-
-@pytest.mark.parametrize("mode", ["count", "fail"])
-def test_buffered_stdout_is_written_once(mode):
-    # A piped stdout is block-buffered: a child that flushed it on exit would repeat the line.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(counting.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", _PRINT_THEN_FAN_OUT, mode],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    last = (str(count_containing(6, 47)) if mode == "count"
-            else "a counting process failed: LookupError: share lost")
-    assert proc.stdout == f"written before the fan-out\n{last}\n"
-
-
-_COUNT_UNTIL_TERMINATED = """
-import os, sys, time
-from nsg import counting
-os.cpu_count = lambda: 2
-
-
-def sleeping(task):
-    with open(os.path.join(sys.argv[1], str(os.getpid())), "w"):
-        pass
-    time.sleep(60)
-
-
-counting._count_task = sleeping
-counting.count_containing(6, 47, workers=2)
-"""
-
-
-def test_terminated_parent_leaves_no_child(tmp_path):
-    _signal_parent_and_check_children(tmp_path, signal.SIGTERM)
-
-
-def test_hung_up_parent_leaves_no_child(tmp_path):
-    # SIGHUP comes from a closed terminal.
-    _signal_parent_and_check_children(tmp_path, signal.SIGHUP)
-
-
-def _signal_parent_and_check_children(tmp_path, signum):
-    # The parent ends by the signal that arrived.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(counting.__file__)))
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _COUNT_UNTIL_TERMINATED, str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    pids = []
-    try:
-        deadline = time.monotonic() + 30
-        while len(os.listdir(tmp_path)) < 2 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        pids = [int(name) for name in os.listdir(tmp_path)]
-        assert len(pids) == 2
-        proc.send_signal(signum)
-        assert proc.wait(timeout=30) == -signum
-        for pid in pids:
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
-    finally:
-        proc.kill()
-        proc.wait()
-        for pid in pids:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
 
 
 def test_locus_is_a_frozen_value():
