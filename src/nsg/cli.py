@@ -158,10 +158,13 @@ def _cmd_paths(args) -> int:
     system = paths.PathSystem(args.p, args.q)
     if args.list:
         rows = []
-        for path in sorted(
-            paths.iter_admissible(system), key=lambda t: (len(t.points), t.corners)
-        ):
-            s = paths.semigroup_from_path(system, path)
+        listed = sorted(paths.iter_admissible(system), key=lambda t: (len(t.points), t.corners))
+        if listed and system.p < 3:
+            raise ValueError("semigroup conversion needs the smaller element >= 3")
+        for path in listed:
+            # the walk yields admissible paths only: semigroup_from_path's
+            # pairwise check would prove that again, in |L|^2 steps
+            s = paths._semigroup_from_heights(system, path.heights())
             rows.append(
                 (
                     " ".join(f"({a},{b})" for a, b in path.corners),

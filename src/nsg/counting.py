@@ -24,6 +24,11 @@ pieces come from one function as a flat tuple, and the loop over x_{n-2}
 and both leaves are straight-line integer code: no builtin min or max, no
 list of pieces and no generator per polygon.
 
+A containment count walks the coordinates in the order of the residues
+q, 2q, 3q, ... mod p, whose caps floor(t q / p) grow along it, so that the
+large caps come last (_cone_rows); a genus window has equal caps and keeps
+the natural order.
+
 Each earlier coordinate x_d is bounded by the least sum a completion must
 still add: the cone pairs x_{d+1}..x_n so that every pair, and twice a
 middle one, is at least x_d - 1, so a prefix whose least completion
@@ -129,8 +134,14 @@ def _walk_rows(rows, v, total=None):
 
 
 @lru_cache(maxsize=None)
-def _cone_rows(p: int, strict: bool):
+def _cone_rows(p: int, strict: bool, r: int = 1):
     """The cone's rows over mu = (x_0, x_1, ..., x_n), n = p - 1, as (levels, tails).
+
+    Walk coordinate x_t holds the residue t * r mod p, for an r coprime to
+    p: each inequality (i, j, k, c) is relabelled to i / r, j / r and
+    k / r mod p with its c unchanged, so the rows keep their shape, since
+    i + j = k mod p still holds, and only their constants move.  r = 1 is
+    the natural order.
 
     levels[d], for d = 0..n-2, holds the rows of x_d for _walk_rows; the
     one row of x_0 pins it to 0, so that x_0 stands in for x_{n-2} when
@@ -146,7 +157,10 @@ def _cone_rows(p: int, strict: bool):
     levels = [[(-1, (), 0)]] + [[] for _ in range(n - 2)]
     tails = [[[] for _ in range(6)] for _ in range(2)]
     up, down = [(i, 1) for i in range(p)], [(i, -1) for i in range(p)]  # shared terms
+    inverse = pow(r, -1, p)
     for i, j, k, c in build_cone(p).inequalities:
+        i, j = sorted((i * inverse % p, j * inverse % p))
+        k = k * inverse % p
         c += strict
         d = max(i, j, k)
         e = d - 1
@@ -163,12 +177,19 @@ def _cone_rows(p: int, strict: bool):
     return tuple(map(tuple, levels)), tuple(tuple(map(tuple, rules)) for rules in tails)
 
 
-def _walk(p, caps, min_total=0, max_total=None, strict=False, leaf=None):
+def _walk(p, caps, min_total=0, max_total=None, strict=False, leaf=None, r=1):
     """Walk the lattice points under caps in the cone, or its interior if strict.
 
     Only points whose sum lies in min_total..max_total are visited.  Without
     leaf, return the points in lexicographic order.  With leaf, return
     nothing and hand leaf each prefix's polygon instead.
+
+    caps[i - 1] caps the coordinate of residue i.  The walk fixes the
+    residues r, 2r, 3r, ... mod p in turn (_cone_rows), so r = q mod p
+    walks a containment count in the order in which its caps
+    floor(t q / p) grow; any r other than 1 needs min_total = 0 and leaf,
+    since the reach row below holds only in natural order and listed
+    points would come out relabelled.
 
     _walk_rows fixes x_1..x_{n-3} (n = p - 1) under the cone's rows, the
     caps, the least sum a completion must still add and the most it can
@@ -185,27 +206,32 @@ def _walk(p, caps, min_total=0, max_total=None, strict=False, leaf=None):
     only the listing loops over the points themselves.
     """
     low, high = min_total, sum(caps) if max_total is None else max_total
+    if r != 1 and (low or leaf is None):
+        raise ValueError("only a total count from 0 may walk out of natural order")
     n = p - 1
     m = n - 1  # x_m is x_{n-1}, x_{m-1} is x_{n-2}
     sum_at = n + 1  # mu[sum_at] holds the sum of the fixed prefix
-    levels, (x_rules, y_rules) = _cone_rows(p, strict)
+    caps = [caps[t * r % p - 1] for t in range(1, p)]
+    levels, (x_rules, y_rules) = _cone_rows(p, strict, r)
     levels = [list(level) for level in levels]
     wrap = strict - 1  # the c below
     for d in range(1, m):
-        # Least completion: with r = n - d, the pairs (d + j, n + 1 - j),
-        # j = 1..r // 2, each sum to d + p, so the cone's wrap-around rows
-        # give x_{d+j} + x_{n+1-j} >= x_d + c, with c = -1, or 0 in the
-        # interior; for odd r the middle index u has 2u = d + p, so
-        # 2 x_u >= x_d + c.  x_{d+1}..x_n thus add at least r (x_d + c) / 2:
-        #     2 high - 2 (x_1 + ... + x_{d-1}) - (r + 2) x_d - r c >= 0.
+        # Least completion: with s = n - d, the pairs (d + j, n + 1 - j),
+        # j = 1..s // 2, each sum to d + p, so the cone's rows give
+        # x_{d+j} + x_{n+1-j} >= x_d + c, with c = -1, or 0 in the interior:
+        # the weakest constant, so it holds in any walk order.  For odd s
+        # the middle index u has 2u = d + p, so 2 x_u >= x_d + c.
+        # x_{d+1}..x_n thus add at least s (x_d + c) / 2:
+        #     2 high - 2 (x_1 + ... + x_{d-1}) - (s + 2) x_d - s c >= 0.
         # As the row one level up keeps x_1 + ... + x_{d-1} <= high, this
         # row implies the sum cap x_1 + ... + x_d <= high and takes its place.
-        # Reach: x_{d+j} <= x_d + j x_1 (from x_1 + x_{d+j-1} >= x_{d+j}), so
-        # a prefix reaches at most its sum plus (r + 1) x_d + r (r + 1) / 2 x_1.
-        r = n - d
-        levels[d] += [(-1, (), caps[d - 1]), (-(r + 2), ((sum_at, -2),), 2 * high - r * wrap)]
+        # Reach: x_{d+j} <= x_d + j x_1 (from x_1 + x_{d+j-1} >= x_{d+j},
+        # whose c is 0 only in natural order), so a prefix reaches at most
+        # its sum plus (s + 1) x_d + s (s + 1) / 2 x_1.
+        s = n - d
+        levels[d] += [(-1, (), caps[d - 1]), (-(s + 2), ((sum_at, -2),), 2 * high - s * wrap)]
         if d > 1 and low:  # with low = 0 the row always holds
-            levels[d].append((r + 1, ((1, r * (r + 1) // 2), (sum_at, 1)), -low))
+            levels[d].append((s + 1, ((1, s * (s + 1) // 2), (sum_at, 1)), -low))
     tops, rises, twice, fixed, falls, singles = x_rules
     up0, up1, up2, flat, falling, [(_, G)] = y_rules  # 2 x_n >= x + G (2n mod p = n - 1)
     far = high + 1  # an absent bound: x + far and 2x + far exceed K - x
@@ -609,10 +635,12 @@ def _locus_walk(locus, caps, low, high):
             yield tuple(sum(a * v[i] for i, a in terms) + b for terms, b in locus.forms)
 
 
-def _counted(p, caps, low, high, class_filter, workers, total=False):
+def _counted(p, caps, low, high, class_filter, workers, total=False, r=1):
     """Counts of the points of one walk with each sum low..high, or their total.
 
-    workers is checked and nothing more: every count runs in this process.
+    The cone of 'all' and 'medim' is walked in the order of r (_walk); the
+    loci of 'sym' and 'psym' keep their own variables.  workers is checked
+    and nothing more: every count runs in this process.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -625,7 +653,7 @@ def _counted(p, caps, low, high, class_filter, workers, total=False):
                 nonlocal count
                 count += _polygon_count(*polygon)
 
-            _walk(p, caps, low, high, strict, add)
+            _walk(p, caps, low, high, strict, add, r)
             return count
         runs = [[0] * (high - low + 5) for _ in range(4)]
         _walk(p, caps, low, high, strict, partial(_polygon_runs, runs))
@@ -700,4 +728,4 @@ def count_containing(p: int, q: int, class_filter: str = "all", workers: int = 1
     """Number of semigroups containing both p and q, optionally filtered."""
     _check_args(p, class_filter)
     caps = containment_caps(p, q)
-    return _counted(p, caps, 0, sum(caps), class_filter, workers, total=True)
+    return _counted(p, caps, 0, sum(caps), class_filter, workers, total=True, r=q % p)

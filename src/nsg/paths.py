@@ -10,9 +10,10 @@ Closure of the resulting set under addition translates into two conditions
 on point pairs of L: whenever the sum of two closed gaps is again a gap, its
 point must also lie in L.  L is fixed by its p - 1 row widths, and in them
 both conditions become bounds on each row from the rows above it.  The walk
-fixes the rows top down, and counts the last row's admissible widths as a
-range, so counting costs one step per choice of the first p - 2 rows, not
-one per path.
+fixes the rows top down and hands over the last row's admissible widths as
+a range; it lists the paths and checks the recursions in q.  Counting them
+goes through the Apéry cone instead (count_admissible), which each path
+maps to one to one.
 
 The empty path stands for <p, q> itself; it is admissible but, by
 convention, not included in the admissible-path count (the total semigroup
@@ -188,15 +189,15 @@ def _row_rules(system: PathSystem, h0_max=None) -> list[tuple]:
     w_i + w_j <= q otherwise, which the triangle's caps already ensure.
     The second asks w_{i+j-p} >= w_i + w_j when i + j > p, which holds for
     w_j = 0 as widths never increase: so w_j <= w_{i+j-p} - w_i for
-    i = p+1-j..j-1, and 2 * w_j <= w_{2j-p}.  h0 <= h0_max is
-    w_{h0_max+1} = 0, a zero cap; row 1 has floor 1 so that the empty path
-    is left out.
+    i = p+1-j..j-1, and 2 * w_j <= w_{2j-p}.  Row k's cap is the number
+    of triangle columns of height at least k, floor((p - k) q / p) as
+    gcd(p, q) = 1.  h0 <= h0_max is w_{h0_max+1} = 0, a zero cap; row 1 has
+    floor 1 so that the empty path is left out.
     """
-    p = system.p
-    caps = system.column_caps()
+    p, q = system.p, system.q
     rules = [None]
     for k in range(1, p):
-        cap = 0 if h0_max is not None and k > h0_max else sum(c >= k for c in caps)
+        cap = 0 if h0_max is not None and k > h0_max else (p - k) * q // p
         lower = tuple((i, k - i) for i in range(1, k // 2 + 1))
         upper = tuple((i + k - p, i) for i in range(p + 1 - k, k))
         rules.append((int(k == 1), cap, lower, upper, 2 * k - p if 2 * k > p else None))
@@ -258,7 +259,15 @@ def _iter_admissible_heights(system: PathSystem, h0_max=None):
 
 
 def count_admissible(system: PathSystem) -> int:
-    """Number of admissible nonempty paths (the empty path is not counted)."""
+    """Number of admissible nonempty paths (the empty path is not counted).
+
+    The admissible paths are the semigroups containing p and q, the empty
+    path standing for <p, q> (semigroup_from_path), so for p >= 3 this is
+    the cone's containment count less one.  The row-width walk, which lists
+    the paths, counts them for p <= 2, where the cone has no coordinates.
+    """
+    if system.p >= 3:
+        return counting.count_containing(system.p, system.q) - 1
     return sum(len(last) for _, last in _walk_rows(system))
 
 
@@ -347,35 +356,47 @@ def verify_path_recursions(p: int, q_max: int) -> PathRecursionReport:
     q > p:  total(q) = new_total + total(q - p) + 1, the symmetric count
     gains new_symmetric + 1, and the pseudo-symmetric count gains
     new_pseudo.
+
+    Each path's class is read from its widths: it closes sum(w) of the
+    (p - 1)(q - 1) / 2 gaps of <p, q>, and its Frobenius number F is the
+    largest least element k q - w_{p-k} p of a class, less p.  Each
+    containment count is made once, as q and q - p meet again at q + p.
     """
     if p < 3:
         raise ValueError("p must be at least 3")
     if q_max <= 2 * p:
         raise ValueError("q_max must exceed 2 * p")
+    counts = {}
+
+    def count(q, class_filter):
+        if (q, class_filter) not in counts:
+            counts[q, class_filter] = counting.count_containing(p, q, class_filter)
+        return counts[q, class_filter]
+
     rows = []
     for q in range(p + 1, q_max + 1):
         if math.gcd(p, q) != 1:
             continue
-        system = PathSystem(p, q)
         new_total = new_sym = new_psym = 0
-        for w, last in _walk_rows(system, h0_max=p - 2):
-            for w[-1] in last:
-                mu = _mu_from_widths(system, w)
-                new_total += 1
-                new_sym += core._is_symmetric_mu(p, mu)
-                new_psym += core._is_pseudo_symmetric_mu(p, mu)
+        gaps = (p - 1) * (q - 1) // 2
+        for w, last in _walk_rows(PathSystem(p, q), h0_max=p - 2):
+            # rows 1..p-2 are fixed; row p - 1 = x gives q's class q - x p
+            genus = gaps - sum(w[1:-1])
+            apery = max(k * q - w[p - k] * p for k in range(2, p))
+            for x in last:
+                excess = 2 * (genus - x) - max(apery, q - x * p) + p  # 2 g - F
+                new_sym += excess == 1
+                new_psym += excess == 2
+            new_total += len(last)
         rows.append(
             RecursionRow(
                 q=q,
                 new_total=new_total,
                 new_symmetric=new_sym,
                 new_pseudo=new_psym,
-                total_ok=counting.count_containing(p, q)
-                == new_total + counting.count_containing(p, q - p) + 1,
-                symmetric_ok=counting.count_containing(p, q, "sym")
-                == new_sym + counting.count_containing(p, q - p, "sym") + 1,
-                pseudo_ok=counting.count_containing(p, q, "psym")
-                == new_psym + counting.count_containing(p, q - p, "psym"),
+                total_ok=count(q, "all") == new_total + count(q - p, "all") + 1,
+                symmetric_ok=count(q, "sym") == new_sym + count(q - p, "sym") + 1,
+                pseudo_ok=count(q, "psym") == new_psym + count(q - p, "psym"),
             )
         )
     return PathRecursionReport(p, tuple(rows))

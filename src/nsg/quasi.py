@@ -2,8 +2,9 @@
 
 A quasi-polynomial of period N is given by N ordinary polynomials; evaluation
 at n uses the constituent indexed by n mod N, as a polynomial in n itself.
-Fitting is exact interpolation over rationals followed by exact verification
-of every remaining sample; nothing here is ever approximated.
+Fitting is exact: finite differences of the samples decide whether a shape
+fits, and the fit that does is interpolated over rationals; nothing here is
+ever approximated.
 """
 
 from __future__ import annotations
@@ -73,19 +74,60 @@ def fit(values, period: int, degree: int | None = None) -> QuasiPolynomial:
     from 0 until verification passes (at most 6).  Each residue class is
     interpolated on its first degree + 1 samples and every remaining sample
     must then match exactly.
+
+    A class's samples sit at evenly spaced n, so they all lie on the
+    interpolant exactly when their (degree + 1)-th differences vanish, and
+    the first that does not ends at the first sample off it.  Each degree
+    is decided so, on the samples as given, and only the fit that passes
+    is interpolated.
     """
-    vals = [Fraction(v) for v in values]
+    vals = [v if type(v) is int else Fraction(v) for v in values]  # ints subtract faster
     if period < 1:
         raise ValueError("period must be positive")
+    differences = [[vals[r::period]] for r in range(period)]  # by class, then order
     if degree is not None:
-        return _fit_exact(vals, period, degree)
-    last_error = None
-    for d in range(0, 7):
-        try:
-            return _fit_exact(vals, period, d)
-        except VerificationMismatch as err:
-            last_error = err
-    raise last_error
+        _verify(differences, period, degree)
+    else:
+        for degree in range(0, 7):
+            try:
+                _verify(differences, period, degree)
+                break
+            except VerificationMismatch as err:
+                last_error = err
+        else:
+            raise last_error
+    nodes = range(0, period * (degree + 1), period)
+    constituents = tuple(
+        _interpolate([r + n for n in nodes], [Fraction(v) for v in diffs[0][: degree + 1]])
+        for r, diffs in enumerate(differences)
+    )
+    return QuasiPolynomial(period, constituents)
+
+
+def _verify(differences, period, degree) -> None:
+    """Raise unless every class's samples lie on one polynomial of degree at most degree.
+
+    differences[r][k] holds the k-th differences of class r's samples; the
+    orders still missing are added in place.
+    """
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    for r, diffs in enumerate(differences):
+        count = len(diffs[0])
+        if count < degree + 2:
+            raise InsufficientSamples(
+                f"class {r} mod {period}: {count} samples, "
+                f"need {degree + 2} for degree {degree}"
+            )
+        while len(diffs) < degree + 2:
+            last = diffs[-1]
+            diffs.append([b - a for a, b in zip(last, last[1:])])
+        for j, delta in enumerate(diffs[degree + 1]):
+            if delta:
+                raise VerificationMismatch(
+                    f"value at {r + (j + degree + 1) * period} breaks the degree-{degree} "
+                    f"fit for class {r} mod {period}"
+                )
 
 
 def _interpolate(nodes, values) -> tuple[Fraction, ...]:
@@ -105,29 +147,6 @@ def _interpolate(nodes, values) -> tuple[Fraction, ...]:
             a - node * b for a, b in zip(coeffs, coeffs[1:] + [0])
         ]
     return tuple(coeffs)
-
-
-def _fit_exact(vals, period, degree) -> QuasiPolynomial:
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    constituents = []
-    for r in range(period):
-        ns = [n for n in range(len(vals)) if n % period == r]
-        if len(ns) < degree + 2:
-            raise InsufficientSamples(
-                f"class {r} mod {period}: {len(ns)} samples, "
-                f"need {degree + 2} for degree {degree}"
-            )
-        nodes = ns[: degree + 1]
-        coeffs = _interpolate(nodes, [vals[n] for n in nodes])
-        for n in ns[degree + 1 :]:
-            if _poly_eval(coeffs, n) != vals[n]:
-                raise VerificationMismatch(
-                    f"value at {n} breaks the degree-{degree} fit "
-                    f"for class {r} mod {period}"
-                )
-        constituents.append(coeffs)
-    return QuasiPolynomial(period, tuple(constituents))
 
 
 def predict_quasi_period(p: int, alpha) -> int:

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import nsg
-from nsg import cli
+from nsg import cli, paths
 from nsg.closed_forms import containing_count_3
 from nsg.counting import count_by_genus
 
@@ -88,6 +88,31 @@ def test_paths_count_and_list(capsys):
     code, out, _ = run_cli(capsys, "paths", "--p", "3", "--q", "4", "--list")
     assert code == 0
     assert len(out.strip().splitlines()) == 4  # header + three paths
+
+
+@pytest.mark.parametrize("p,q", [(3, 4), (3, 8), (4, 9), (4, 11), (5, 7), (5, 9)])
+def test_paths_list_rows_match_checked_conversion(capsys, p, q):
+    # --list builds each semigroup from the path's heights alone; the pairwise
+    # closure check of semigroup_from_path must accept every listed path
+    code, out, _ = run_cli(capsys, "paths", "--p", str(p), "--q", str(q), "--list")
+    assert code == 0
+    system = paths.PathSystem(p, q)
+    listed = sorted(paths.iter_admissible(system), key=lambda t: (len(t.points), t.corners))
+    rows = out.splitlines()[1:]
+    assert len(rows) == len(listed) == paths.count_admissible(system)
+    for row, path in zip(rows, listed):
+        assert paths.is_admissible(system, path)
+        s = paths.semigroup_from_path(system, path)
+        corners = " ".join(f"({a},{b})" for a, b in path.corners)
+        mu = ";".join(map(str, s.mu))
+        flags = f"{str(s.is_symmetric()).lower()},{str(s.is_pseudo_symmetric()).lower()}"
+        assert row == f"{corners},{mu},{flags}"
+
+
+def test_paths_list_at_p2_is_refused(capsys):
+    code, out, err = run_cli(capsys, "paths", "--p", "2", "--q", "7", "--list")
+    assert (code, out) == (2, "")
+    assert err == "error: semigroup conversion needs the smaller element >= 3\n"
 
 
 @pytest.mark.parametrize(

@@ -258,6 +258,39 @@ def test_walk_matches_plain_dfs(walk, cls):
             )
 
 
+# The natural-order walk these are checked against is the slow one at
+# q = -1 mod p: (8, 47) takes 3 s, so q stops lower at p = 7 and 8.
+Q_ORDER_MAX = {3: 60, 4: 60, 5: 60, 6: 60, 7: 41, 8: 24}
+
+
+@st.composite
+def containments(draw):
+    p = draw(st.integers(3, 8))
+    r = draw(st.sampled_from([r for r in range(1, p) if math.gcd(p, r) == 1]))
+    return p, draw(st.sampled_from(range(r, Q_ORDER_MAX[p] + 1, p)))
+
+
+@given(containments(), st.sampled_from(("all", "medim")))
+@settings(max_examples=100, deadline=None)
+def test_walk_in_q_order_counts_as_natural_order(pq, cls):
+    # count_containing walks the cone fixing the residues q, 2q, ... mod p in turn
+    p, q = pq
+    caps = containment_caps(p, q)
+    natural = counting._counted(p, caps, 0, sum(caps), cls, 1, total=True)
+    assert counting._counted(p, caps, 0, sum(caps), cls, 1, total=True, r=q % p) == natural
+    assert count_containing(p, q, cls) == natural
+
+
+def test_q_order_walk_is_refused_where_natural_order_is_needed():
+    # the reach row holds only in natural order, and listed points would be relabelled
+    caps = containment_caps(7, 20)
+    with pytest.raises(ValueError, match="natural order"):
+        counting._walk(7, caps, 1, sum(caps), leaf=lambda *polygon: None, r=6)
+    with pytest.raises(ValueError, match="natural order"):
+        counting._walk(7, caps, 0, sum(caps), r=6)
+    assert counting._walk(7, caps, 1, sum(caps)) == counting._walk(7, caps, 1, sum(caps), r=1)
+
+
 @given(walks())
 @settings(max_examples=60, deadline=None)
 def test_least_completion_row_holds_at_every_point(walk):

@@ -22,11 +22,13 @@ from nsg import (
     semigroup_from_path,
     verify_path_recursions,
 )
+from nsg.core import _is_pseudo_symmetric_mu, _is_symmetric_mu
 from nsg.paths import (
     PathRecursionReport,
     RecursionRow,
     _iter_admissible_heights,
     _semigroup_from_heights,
+    _walk_rows,
 )
 from record_checks import check_record
 
@@ -278,6 +280,30 @@ def test_row_walk_matches_column_walk(case):
         for heights in [(), *yielded]:
             s = _semigroup_from_heights(system, heights)
             assert s.mu == oracles.gap_closure_mu(system, heights)
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+def test_count_admissible_matches_the_row_walk(p):
+    # count_admissible counts through the cone from p = 3 on; the row-width
+    # walk, whose ranges iter_admissible expands path by path, stays its check
+    for q in range(1, 41):
+        if q == p or math.gcd(p, q) != 1:
+            continue
+        system = PathSystem(p, q)
+        assert count_admissible(system) == sum(len(last) for _, last in _walk_rows(system))
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_recursion_classes_from_widths_match_the_semigroups(p):
+    # verify_path_recursions reads sym and psym off the widths; the new paths
+    # are those with h0 <= p - 2
+    report = verify_path_recursions(p, 2 * p + 13)
+    for row in report.rows:
+        system = PathSystem(p, row.q)
+        sems = [_semigroup_from_heights(system, h) for h in _iter_admissible_heights(system, p - 2)]
+        assert row.new_total == len(sems)
+        assert row.new_symmetric == sum(_is_symmetric_mu(p, s.mu) for s in sems)
+        assert row.new_pseudo == sum(_is_pseudo_symmetric_mu(p, s.mu) for s in sems)
 
 
 def test_row_walk_counts_a_large_triangle():
