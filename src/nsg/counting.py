@@ -42,6 +42,12 @@ per residue of the largest Apéry element, built here from the pairing of
 residues against it.  Each locus is walked in its own variables, and all
 its points with one value of the first variable have the same sum, so a
 count adds the length of each last interval.
+
+A face of the cone under caps, on which some coordinates sit at their caps,
+is walked the same way: the paper's staircases of <p, q> with at most h
+rows, and those new at q, lie on such faces (nsg.paths).  Loci and faces
+alike write each coordinate as an affine form in the walk's variables and
+substitute it into the cone's rows (_cone_on).
 """
 
 from __future__ import annotations
@@ -541,6 +547,40 @@ def _fold_runs(runs, size):
     return list(accumulate(map(sum, zip(*runs))))[:size]
 
 
+def _substitute(forms, signs, b):
+    """The _row of sum(sign * x_c for c, sign in signs) + b >= 0, where
+    forms[c - 1] = (terms, b_c) writes x_c = sum(a * v_i for i, a in terms) + b_c
+    in the variables of a walk."""
+    terms = [(i, sign * a) for c, sign in signs for i, a in forms[c - 1][0]]
+    return _row(terms, b + sum(sign * forms[c - 1][1] for c, sign in signs))
+
+
+def _cone_on(p, forms, size, extra):
+    """The rows of the cone, x >= 0 and the extra (signs, b) rows over the size
+    variables of forms, filed for _walk_rows; None if a constant row fails."""
+    rows = [[] for _ in range(size)]
+    inequalities = [([(c, 1)], 0) for c in range(1, p)]  # x_c >= 0
+    inequalities += [([(i, 1), (j, 1), (l, -1)], -c) for i, j, l, c in build_cone(p).inequalities]
+    for signs, b in inequalities + extra:
+        d, row = _substitute(forms, signs, b)
+        if d is not None:
+            rows[d].append(row)
+        elif row[2] < 0:
+            return None
+    return tuple(map(tuple, rows))
+
+
+def _face_ranges(p, caps, free, v, total=None):
+    """_walk_rows, with total, over the face of the cone under caps on which
+    every residue but those of free sits at its cap; walk variable v_f is the
+    coordinate of residue free[f], and the others are constants."""
+    forms = [((), cap) for cap in caps]
+    for f, c in enumerate(free):
+        forms[c - 1] = (((f, 1),), 0)
+    rows = _cone_on(p, forms, len(free), [([(c, -1)], caps[c - 1]) for c in free])
+    return () if rows is None else _walk_rows(rows, v, total)
+
+
 class _Locus(Record):
     """One affine locus of 'sym' or 'psym' points, with the cone written on it.
 
@@ -583,25 +623,12 @@ def _locus(p: int, k: int, h: int | None) -> _Locus | None:
     for f, (i, j) in enumerate(pairs, start=1):
         forms[i - 1] = (((f, 1),), 0)
         forms[j - 1] = (((0, s), (f, -1)), r - (i + j - k) // p)
-
-    def combine(signs, b):
-        terms = [(i, sign * a) for c, sign in signs for i, a in forms[c - 1][0]]
-        return _row(terms, b + sum(sign * forms[c - 1][1] for c, sign in signs))
-
-    inequalities = [combine([(c, 1)], 0) for c in range(1, p)]  # x_c >= 0
-    inequalities += [
-        combine([(i, 1), (j, 1), (l, -1)], -c) for i, j, l, c in build_cone(p).inequalities
-    ]
-    if h is not None:
-        inequalities.append(combine([(k, 1)], -1))  # the origin is not 'psym'
-    rows = [[] for _ in range(len(pairs) + 1)]
-    for d, row in inequalities:
-        if d is not None:
-            rows[d].append(row)
-        elif row[2] < 0:
-            return None
-    _, (slope, _, offset) = combine([(c, 1) for c in range(1, p)], 0)
-    return _Locus(tuple(forms), tuple(map(tuple, rows)), slope, offset)
+    extra = [] if h is None else [([(k, 1)], -1)]  # the origin is not 'psym'
+    rows = _cone_on(p, forms, len(pairs) + 1, extra)
+    if rows is None:
+        return None
+    _, (slope, _, offset) = _substitute(forms, [(c, 1) for c in range(1, p)], 0)
+    return _Locus(tuple(forms), rows, slope, offset)
 
 
 @lru_cache(maxsize=None)
@@ -620,8 +647,8 @@ def _class_loci(p: int, class_filter: str) -> tuple[_Locus, ...]:
 def _locus_ranges(locus, caps, low, high, v):
     """_walk_rows over one locus, under caps and with sums low..high."""
     rows = [list(level) for level in locus.rows]
-    for (terms, b), cap in zip(locus.forms, caps):
-        d, row = _row([(i, -a) for i, a in terms], cap - b)
+    for c, cap in enumerate(caps, start=1):
+        d, row = _substitute(locus.forms, [(c, -1)], cap)
         rows[d].append(row)
     rows[0] += [(locus.slope, (), locus.offset - low), (-locus.slope, (), high - locus.offset)]
     return _walk_rows(rows, v)

@@ -8,12 +8,13 @@ always the point set on and under a monotone right/down staircase path.
 
 Closure of the resulting set under addition translates into two conditions
 on point pairs of L: whenever the sum of two closed gaps is again a gap, its
-point must also lie in L.  L is fixed by its p - 1 row widths, and in them
-both conditions become bounds on each row from the rows above it.  The walk
-fixes the rows top down and hands over the last row's admissible widths as
-a range; it lists the paths and checks the recursions in q.  Counting them
-goes through the Apéry cone instead (count_admissible), which each path
-maps to one to one.
+point must also lie in L (is_admissible).  L is fixed by its p - 1 row
+widths, and row p - t is as wide as the Apéry coordinate of t q mod p lies
+below its cap under q, so the admissible paths map one to one onto the
+lattice points of the Apéry cone under those caps.  They are counted
+(count_admissible), listed and checked against the recursions in q there:
+a path of at most h rows, and so each path new at q, lies on a face of the
+cone on which some coordinates sit at their caps.
 
 The empty path stands for <p, q> itself; it is admissible but, by
 convention, not included in the admissible-path count (the total semigroup
@@ -180,82 +181,43 @@ def is_admissible(system: PathSystem, path: LatticePath) -> bool:
     return True
 
 
-def _row_rules(system: PathSystem, h0_max=None) -> list[tuple]:
-    """Per row k = 1..p-1: (floor, cap, lower pairs, upper pairs, half row).
+def _path_face(system: PathSystem, rows: int, v, total=None):
+    """(free, counting._face_ranges) over the paths of at most rows rows,
+    p >= 3, where walk variable v_f is the coordinate of residue free[f].
 
-    Row widths w_1 >= ... >= w_{p-1} >= 0 fix a staircase; w_k counts the
-    columns of height at least k.  For rows i <= j of L the first pair
-    condition asks w_{i+j} >= w_i + w_j - q when i + j < p, and
-    w_i + w_j <= q otherwise, which the triangle's caps already ensure.
-    The second asks w_{i+j-p} >= w_i + w_j when i + j > p, which holds for
-    w_j = 0 as widths never increase: so w_j <= w_{i+j-p} - w_i for
-    i = p+1-j..j-1, and 2 * w_j <= w_{2j-p}.  Row k's cap is the number
-    of triangle columns of height at least k, floor((p - k) q / p) as
-    gcd(p, q) = 1.  h0 <= h0_max is w_{h0_max+1} = 0, a zero cap; row 1 has
-    floor 1 so that the empty path is left out.
+    Row k of a path is as wide as the cap of the residue (p - k) q mod p
+    less its Apéry coordinate (_heights), so a path leaves its rows past
+    the first rows empty where the coordinates of t q mod p, t < p - rows,
+    sit at their caps.  The free ones are walked in the order of t, along
+    which the caps grow; the cap of the last, row 1's -q mod p, is lowered
+    by one to leave out the cap point: <p, q>, the empty path.
     """
     p, q = system.p, system.q
-    rules = [None]
-    for k in range(1, p):
-        cap = 0 if h0_max is not None and k > h0_max else (p - k) * q // p
-        lower = tuple((i, k - i) for i in range(1, k // 2 + 1))
-        upper = tuple((i + k - p, i) for i in range(p + 1 - k, k))
-        rules.append((int(k == 1), cap, lower, upper, 2 * k - p if 2 * k > p else None))
-    return rules
-
-
-def _walk_rows(system: PathSystem, h0_max=None):
-    """Yield (w, last) for each admissible choice of rows 1..p-2.
-
-    w is the width list indexed by row (w_0 = q, above every width), shared
-    between yields; last is the range of admissible widths of row p-1.
-    Rows are fixed top down on an explicit stack, each over the contiguous
-    range its rules leave.
-    """
-    p, q = system.p, system.q
-    n = p - 1
-    if n < 1:
-        return
-    rules = _row_rules(system, h0_max)
-    w = [q] + [0] * n
-    stack: list = []  # one iterator over the untried widths of each fixed row
-    k = 1
-    while True:
-        lo, hi, lower, upper, half = rules[k]
-        for i, j in lower:
-            if w[i] + w[j] - q > lo:
-                lo = w[i] + w[j] - q
-        if w[k - 1] < hi:  # the last row's rules imply it; here it prunes early
-            hi = w[k - 1]
-        if half is not None and w[half] // 2 < hi:
-            hi = w[half] // 2
-        for t, i in upper:
-            if w[t] - w[i] < hi:
-                hi = w[t] - w[i]
-        if k == n:
-            yield w, range(lo, hi + 1)
-        else:
-            stack.append(iter(range(lo, hi + 1)))
-        while stack:
-            k = len(stack)
-            v = next(stack[-1], None)
-            if v is not None:
-                w[k] = v
-                k += 1
-                break
-            stack.pop()
-        else:
-            return
+    caps = list(counting.containment_caps(p, q))
+    caps[-q % p - 1] -= 1
+    free = [t * q % p for t in range(p - rows, p)]
+    return free, counting._face_ranges(p, caps, free, v, total)
 
 
 def _iter_admissible_heights(system: PathSystem, h0_max=None):
-    """Yield height profiles of admissible nonempty paths with h0 <= h0_max."""
-    for w, last in _walk_rows(system, h0_max):
-        for w[-1] in last:
-            heights: list[int] = []
-            for k in range(len(w) - 1, 0, -1):
-                heights += [k] * (w[k] - len(heights))  # w_{k+1} columns so far
-            yield tuple(heights)
+    """Yield height profiles of admissible nonempty paths with h0 <= h0_max,
+    one per point of a face of the cone (_path_face); p = 2 has one row,
+    of width 1..(q - 1) / 2."""
+    p, q = system.p, system.q
+    rows = p - 1 if h0_max is None else min(h0_max, p - 1)  # the rows a path may fill
+    if rows < 1:
+        return
+    if p == 2:
+        yield from ((1,) * width for width in range(1, q // 2 + 1))
+        return
+    mu = list(counting.containment_caps(p, q))
+    v = [0] * rows
+    free, ranges = _path_face(system, rows, v)
+    for lo, hi in ranges:
+        for c, x in zip(free[:-1], v):
+            mu[c - 1] = x
+        for mu[free[-1] - 1] in range(lo, hi + 1):
+            yield _heights(system, mu)
 
 
 def count_admissible(system: PathSystem) -> int:
@@ -263,12 +225,12 @@ def count_admissible(system: PathSystem) -> int:
 
     The admissible paths are the semigroups containing p and q, the empty
     path standing for <p, q> (semigroup_from_path), so for p >= 3 this is
-    the cone's containment count less one.  The row-width walk, which lists
-    the paths, counts them for p <= 2, where the cone has no coordinates.
+    the cone's containment count less one.  p = 2 has (q - 1) / 2 paths, one
+    per width of its one row, and p = 1 none.
     """
     if system.p >= 3:
         return counting.count_containing(system.p, system.q) - 1
-    return sum(len(last) for _, last in _walk_rows(system))
+    return system.q // 2 if system.p == 2 else 0
 
 
 def iter_admissible(system: PathSystem, h0_max=None):
@@ -277,23 +239,19 @@ def iter_admissible(system: PathSystem, h0_max=None):
         yield LatticePath.from_heights(heights)
 
 
-def _mu_from_widths(system: PathSystem, w) -> tuple[int, ...]:
-    """The class of k*q mod p has least element k*q - w_{p-k}*p."""
-    p, q = system.p, system.q
-    mu = [0] * (p - 1)
-    for k in range(1, p):
-        least = k * q - w[p - k] * p
-        mu[least % p - 1] = least // p
-    return tuple(mu)
-
-
 def _semigroup_from_heights(system: PathSystem, heights) -> core.Semigroup:
-    w = [0] * (system.p + 1)
+    """The class of t q mod p has least element t q - w_{p-t} p, where w_k
+    counts the columns of height at least k."""
+    p, q = system.p, system.q
+    w = [0] * (p + 1)
     for h in heights:
         w[h] += 1
-    for k in range(system.p - 1, 0, -1):
-        w[k] += w[k + 1]  # now the number of columns of height at least k
-    return core.Semigroup(system.p, _mu_from_widths(system, w))
+    for k in range(p - 1, 0, -1):
+        w[k] += w[k + 1]
+    mu = [0] * (p - 1)
+    for t in range(1, p):
+        mu[t * q % p - 1] = t * q // p - w[p - t]
+    return core.Semigroup(p, tuple(mu))
 
 
 def semigroup_from_path(system: PathSystem, path: LatticePath) -> core.Semigroup:
@@ -311,15 +269,24 @@ def path_from_semigroup(system: PathSystem, s: core.Semigroup) -> LatticePath:
     Row p - k holds the gaps k*q - a*p, a >= 1, of the class of k*q mod p.
     Those in s are the ones at or above its least element there, so the
     row's width is floor(k*q / p) minus the mu entry of that class: the
-    inverse of _mu_from_widths.
+    inverse of _semigroup_from_heights.
     """
     p, q = system.p, system.q
     if s.p != p:
         raise ValueError(f"semigroup is based at {s.p}, system at {p}")
     if not s.contains(q):
         raise NotContainingQ(f"semigroup does not contain {q}")
-    w = [k * q // p - s.mu[k * q % p - 1] for k in range(p - 1, 0, -1)]
-    return LatticePath.from_heights(sum(a < v for v in w) for a in range(w[0]))
+    return LatticePath.from_heights(_heights(system, s.mu))
+
+
+def _heights(system: PathSystem, mu) -> tuple[int, ...]:
+    """Column heights of the staircase of the Apéry coordinates mu, whose
+    row p - t is floor(t q / p) - mu_{t q mod p} wide (path_from_semigroup)."""
+    p, q = system.p, system.q
+    heights: list[int] = []
+    for t in range(1, p):
+        heights += [p - t] * (t * q // p - mu[t * q % p - 1] - len(heights))
+    return tuple(heights)
 
 
 class RecursionRow(Record):
@@ -357,10 +324,12 @@ def verify_path_recursions(p: int, q_max: int) -> PathRecursionReport:
     gains new_symmetric + 1, and the pseudo-symmetric count gains
     new_pseudo.
 
-    Each path's class is read from its widths: it closes sum(w) of the
-    (p - 1)(q - 1) / 2 gaps of <p, q>, and its Frobenius number F is the
-    largest least element k q - w_{p-k} p of a class, less p.  Each
-    containment count is made once, as q and q - p meet again at q + p.
+    The new paths are the face of the cone on which the coordinate of q's
+    residue r sits at its cap floor(q / p) (_path_face), and each one's
+    class is read as 2 g - F: its genus g is the sum of its Apéry
+    coordinates, and its Frobenius number F is the largest of i + mu_i p,
+    less p.  Each containment count is made once, as q and q - p meet again
+    at q + p.
     """
     if p < 3:
         raise ValueError("p must be at least 3")
@@ -378,16 +347,19 @@ def verify_path_recursions(p: int, q_max: int) -> PathRecursionReport:
         if math.gcd(p, q) != 1:
             continue
         new_total = new_sym = new_psym = 0
-        gaps = (p - 1) * (q - 1) // 2
-        for w, last in _walk_rows(PathSystem(p, q), h0_max=p - 2):
-            # rows 1..p-2 are fixed; row p - 1 = x gives q's class q - x p
-            genus = gaps - sum(w[1:-1])
-            apery = max(k * q - w[p - k] * p for k in range(2, p))
-            for x in last:
-                excess = 2 * (genus - x) - max(apery, q - x * p) + p  # 2 g - F
+        v = [0] * (p - 1)  # v[-1] holds the sum of the fixed variables
+        free, ranges = _path_face(PathSystem(p, q), p - 2, v, total=p - 2)
+        for lo, hi in ranges:
+            genus = q // p + v[-1]  # the pinned coordinate and the fixed ones
+            apery = q  # r + floor(q / p) p
+            for c, x in zip(free[:-1], v):
+                if c + x * p > apery:
+                    apery = c + x * p
+            for x in range(lo, hi + 1):  # row 1, of residue free[-1] = p - r
+                excess = 2 * (genus + x) - max(apery, free[-1] + x * p) + p  # 2 g - F
                 new_sym += excess == 1
                 new_psym += excess == 2
-            new_total += len(last)
+            new_total += hi - lo + 1
         rows.append(
             RecursionRow(
                 q=q,

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import row_walk_oracle
 from nsg import (
     LatticePath,
     NotAdmissible,
@@ -22,13 +23,13 @@ from nsg import (
     semigroup_from_path,
     verify_path_recursions,
 )
+from nsg import counting
 from nsg.core import _is_pseudo_symmetric_mu, _is_symmetric_mu
 from nsg.paths import (
     PathRecursionReport,
     RecursionRow,
     _iter_admissible_heights,
     _semigroup_from_heights,
-    _walk_rows,
 )
 from record_checks import check_record
 
@@ -262,45 +263,97 @@ def test_recursions_generic(p):
 @st.composite
 def systems_and_h0(draw):
     p = draw(st.integers(1, 7))
-    q = draw(st.integers(p + 1, 30).filter(lambda q: math.gcd(p, q) == 1))
-    h0_max = draw(st.one_of(st.none(), st.integers(0, p)))
+    q = draw(st.integers(1, 40).filter(lambda q: q != p and math.gcd(p, q) == 1))
+    h0_max = draw(st.one_of(st.none(), st.integers(-1, p + 1)))
     return PathSystem(p, q), h0_max
 
 
 @settings(max_examples=60, deadline=None)
 @given(systems_and_h0())
-def test_row_walk_matches_column_walk(case):
+def test_face_listing_matches_the_row_and_column_walks(case):
     system, h0_max = case
     yielded = list(_iter_admissible_heights(system, h0_max))
     assert len(yielded) == len(set(yielded))
+    assert set(yielded) == set(row_walk_oracle._iter_admissible_heights(system, h0_max))
     assert set(yielded) == set(oracles.column_walk_heights(system, h0_max))
     if h0_max is None:
         assert count_admissible(system) == len(yielded)
     if system.p >= 3:
-        for heights in [(), *yielded]:
+        # closing gaps one at a time is slow: above q = 30, check at most
+        # about 2,000 paths
+        step = 1 if system.q <= 30 else len(yielded) // 2000 + 1
+        for heights in [(), *yielded[::step]]:
             s = _semigroup_from_heights(system, heights)
             assert s.mu == oracles.gap_closure_mu(system, heights)
 
 
 @pytest.mark.parametrize("p", range(1, 8))
+def test_face_listing_edge_heights(p):
+    # h0 <= -1 or 0 leaves no row to fill, so every coordinate sits at its cap
+    # and only the empty path is left; h0 <= p - 1 or more pins nothing
+    for q in (1, 2 * p + 1, 3 * p + 2):
+        if q == p or math.gcd(p, q) != 1:
+            continue
+        system = PathSystem(p, q)
+        full = set(_iter_admissible_heights(system))
+        for h0_max in (-3, -1, 0):
+            assert list(_iter_admissible_heights(system, h0_max)) == []
+        for h0_max in (system.p - 1, system.p, system.p + 4):
+            assert set(_iter_admissible_heights(system, h0_max)) == full
+        for h0_max in range(1, system.p - 1):
+            assert max(heights[0] for heights in _iter_admissible_heights(system, h0_max)) == h0_max
+
+
+def test_face_pins_the_coordinates_of_the_empty_rows(monkeypatch):
+    # h0 <= h0_max pins the residues t q mod p, t = 1..p-1-h0_max, and never 0
+    seen = []
+    face_ranges = counting._face_ranges
+
+    def recording(p, caps, free, v, total=None):
+        seen.append((p, tuple(caps), tuple(free)))
+        return face_ranges(p, caps, free, v, total)
+
+    monkeypatch.setattr(counting, "_face_ranges", recording)
+    system = PathSystem(7, 24)
+    caps = counting.containment_caps(7, 24)
+    for h0_max in (-1, 0, 1, 3, 5, 6, 9, None):
+        seen.clear()
+        list(_iter_admissible_heights(system, h0_max))
+        rows = 6 if h0_max is None else min(max(h0_max, 0), 6)
+        if rows == 0:
+            assert seen == []
+            continue
+        [(p, face_caps, free)] = seen
+        assert free == tuple(t * 24 % 7 for t in range(7 - rows, 7))
+        assert 0 not in free and len(set(free)) == rows
+        # only the cap of row 1's residue moves: it leaves out <7, 24>
+        assert [c - f for c, f in zip(caps, face_caps)] == [int(i == -24 % 7) for i in range(1, 7)]
+
+
+@pytest.mark.parametrize("p", range(1, 8))
 def test_count_admissible_matches_the_row_walk(p):
-    # count_admissible counts through the cone from p = 3 on; the row-width
-    # walk, whose ranges iter_admissible expands path by path, stays its check
+    # count_admissible counts through the cone from p = 3 on and in closed
+    # form below; the row-width walk stays its check
     for q in range(1, 41):
         if q == p or math.gcd(p, q) != 1:
             continue
         system = PathSystem(p, q)
-        assert count_admissible(system) == sum(len(last) for _, last in _walk_rows(system))
+        walked = sum(len(last) for _, last in row_walk_oracle._walk_rows(system))
+        assert count_admissible(system) == walked
 
 
 @pytest.mark.parametrize("p", [3, 4, 5, 6])
 def test_recursion_classes_from_widths_match_the_semigroups(p):
-    # verify_path_recursions reads sym and psym off the widths; the new paths
-    # are those with h0 <= p - 2
+    # verify_path_recursions reads sym and psym off the face's points; the
+    # new paths are those with h0 <= p - 2
     report = verify_path_recursions(p, 2 * p + 13)
+    assert [row.q for row in report.rows] == [
+        q for q in range(p + 1, 2 * p + 14) if math.gcd(p, q) == 1
+    ]
     for row in report.rows:
         system = PathSystem(p, row.q)
-        sems = [_semigroup_from_heights(system, h) for h in _iter_admissible_heights(system, p - 2)]
+        listed = row_walk_oracle._iter_admissible_heights(system, p - 2)
+        sems = [_semigroup_from_heights(system, h) for h in listed]
         assert row.new_total == len(sems)
         assert row.new_symmetric == sum(_is_symmetric_mu(p, s.mu) for s in sems)
         assert row.new_pseudo == sum(_is_pseudo_symmetric_mu(p, s.mu) for s in sems)
