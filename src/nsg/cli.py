@@ -82,10 +82,12 @@ def _emit(args, columns, rows):
 
 
 def _cmd_count(args) -> int:
+    if args.workers < 1:
+        raise ValueError("workers must be at least 1")
     rows = []
     if args.genus is not None:
         genera = _parse_range(args.genus)
-        counts = counting.genus_window(args.p, genera[0], genera[-1], args.cls, args.workers)
+        counts = counting.genus_window(args.p, genera[0], genera[-1], args.cls)
         rows = [(args.p, g, args.cls, n) for g, n in zip(genera, counts)]
         columns = ("p", "genus", "class", "count")
     else:
@@ -96,9 +98,7 @@ def _cmd_count(args) -> int:
                 if explicit:
                     raise counting.NotCoprime(f"gcd({args.p}, {q}) != 1")
                 continue
-            rows.append(
-                (args.p, q, args.cls, counting.count_containing(args.p, q, args.cls, args.workers))
-            )
+            rows.append((args.p, q, args.cls, counting.count_containing(args.p, q, args.cls)))
         columns = ("p", "q", "class", "count")
     _emit(args, columns, rows)
     return 0

@@ -36,6 +36,10 @@ overshoots the window is never expanded.  x_{n-2} is bounded further by the
 polygon's own lines, so a value that leaves x_{n-1} no value is never
 tried.
 
+'medim' is 'all' moved by the all-ones vector: S -> {0} u (p + S) adds 1 to
+each coordinate and p - 1 to the genus, and holds q when S holds q - p
+(Rosales & García-Sánchez, "Numerical Semigroups", 2009).
+
 Symmetric and pseudo-symmetric semigroups are not found by testing points:
 each class lies on a few affine loci of the cone of dimension about p/2, one
 per residue of the largest Apéry element, built here from the pairing of
@@ -140,7 +144,7 @@ def _walk_rows(rows, v, total=None):
 
 
 @lru_cache(maxsize=None)
-def _cone_rows(p: int, strict: bool, r: int = 1):
+def _cone_rows(p: int, r: int = 1):
     """The cone's rows over mu = (x_0, x_1, ..., x_n), n = p - 1, as (levels, tails).
 
     Walk coordinate x_t holds the residue t * r mod p, for an r coprime to
@@ -156,8 +160,6 @@ def _cone_rows(p: int, strict: bool, r: int = 1):
       uppers (i, j, c):  x_d <= x_i + x_j - c, by the slope of e: 0, 1, 2
       lowers (i, k, c):  x_d >= x_k + c - x_i, by the slope of e: 0, -1
       singles (k, c):    2 x_d >= x_k + c
-    Strict mode shifts every c by one, which turns the system into its
-    interior version.
     """
     n = p - 1
     levels = [[(-1, (), 0)]] + [[] for _ in range(n - 2)]
@@ -167,7 +169,6 @@ def _cone_rows(p: int, strict: bool, r: int = 1):
     for i, j, k, c in build_cone(p).inequalities:
         i, j = sorted((i * inverse % p, j * inverse % p))
         k = k * inverse % p
-        c += strict
         d = max(i, j, k)
         e = d - 1
         if k == d:
@@ -183,8 +184,8 @@ def _cone_rows(p: int, strict: bool, r: int = 1):
     return tuple(map(tuple, levels)), tuple(tuple(map(tuple, rules)) for rules in tails)
 
 
-def _walk(p, caps, min_total=0, max_total=None, strict=False, leaf=None, r=1):
-    """Walk the lattice points under caps in the cone, or its interior if strict.
+def _walk(p, caps, min_total=0, max_total=None, leaf=None, r=1):
+    """Walk the lattice points under caps in the cone.
 
     Only points whose sum lies in min_total..max_total are visited.  Without
     leaf, return the points in lexicographic order.  With leaf, return
@@ -218,24 +219,22 @@ def _walk(p, caps, min_total=0, max_total=None, strict=False, leaf=None, r=1):
     m = n - 1  # x_m is x_{n-1}, x_{m-1} is x_{n-2}
     sum_at = n + 1  # mu[sum_at] holds the sum of the fixed prefix
     caps = [caps[t * r % p - 1] for t in range(1, p)]
-    levels, (x_rules, y_rules) = _cone_rows(p, strict, r)
+    levels, (x_rules, y_rules) = _cone_rows(p, r)
     levels = [list(level) for level in levels]
-    wrap = strict - 1  # the c below
     for d in range(1, m):
         # Least completion: with s = n - d, the pairs (d + j, n + 1 - j),
         # j = 1..s // 2, each sum to d + p, so the cone's rows give
-        # x_{d+j} + x_{n+1-j} >= x_d + c, with c = -1, or 0 in the interior:
-        # the weakest constant, so it holds in any walk order.  For odd s
-        # the middle index u has 2u = d + p, so 2 x_u >= x_d + c.
-        # x_{d+1}..x_n thus add at least s (x_d + c) / 2:
-        #     2 high - 2 (x_1 + ... + x_{d-1}) - (s + 2) x_d - s c >= 0.
+        # x_{d+j} + x_{n+1-j} >= x_d - 1: the weakest constant, so it holds
+        # in any walk order.  For odd s the middle index u has 2u = d + p,
+        # so 2 x_u >= x_d - 1.  x_{d+1}..x_n thus add at least s (x_d - 1) / 2:
+        #     2 high - 2 (x_1 + ... + x_{d-1}) - (s + 2) x_d + s >= 0.
         # As the row one level up keeps x_1 + ... + x_{d-1} <= high, this
         # row implies the sum cap x_1 + ... + x_d <= high and takes its place.
         # Reach: x_{d+j} <= x_d + j x_1 (from x_1 + x_{d+j-1} >= x_{d+j},
         # whose c is 0 only in natural order), so a prefix reaches at most
         # its sum plus (s + 1) x_d + s (s + 1) / 2 x_1.
         s = n - d
-        levels[d] += [(-1, (), caps[d - 1]), (-(s + 2), ((sum_at, -2),), 2 * high - s * wrap)]
+        levels[d] += [(-1, (), caps[d - 1]), (-(s + 2), ((sum_at, -2),), 2 * high + s)]
         if d > 1 and low:  # with low = 0 the row always holds
             levels[d].append((s + 1, ((1, s * (s + 1) // 2), (sum_at, 1)), -low))
     tops, rises, twice, fixed, falls, singles = x_rules
@@ -662,17 +661,13 @@ def _locus_walk(locus, caps, low, high):
             yield tuple(sum(a * v[i] for i, a in terms) + b for terms, b in locus.forms)
 
 
-def _counted(p, caps, low, high, class_filter, workers, total=False, r=1):
+def _counted(p, caps, low, high, class_filter, total=False, r=1):
     """Counts of the points of one walk with each sum low..high, or their total.
 
-    The cone of 'all' and 'medim' is walked in the order of r (_walk); the
-    loci of 'sym' and 'psym' keep their own variables.  workers is checked
-    and nothing more: every count runs in this process.
+    The cone of 'all' is walked in the order of r (_walk); the loci of 'sym'
+    and 'psym' keep their own variables.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if class_filter in ("all", "medim"):
-        strict = class_filter == "medim"
+    if class_filter == "all":
         if total:
             count = 0
 
@@ -680,10 +675,10 @@ def _counted(p, caps, low, high, class_filter, workers, total=False, r=1):
                 nonlocal count
                 count += _polygon_count(*polygon)
 
-            _walk(p, caps, low, high, strict, add, r)
+            _walk(p, caps, low, high, add, r)
             return count
         runs = [[0] * (high - low + 5) for _ in range(4)]
-        _walk(p, caps, low, high, strict, partial(_polygon_runs, runs))
+        _walk(p, caps, low, high, partial(_polygon_runs, runs))
         return _fold_runs(runs, high - low + 1)
     counts = 0 if total else [0] * (high - low + 1)
     for locus in _class_loci(p, class_filter):
@@ -706,28 +701,31 @@ def enumerate_by_genus(p: int, genus: int, class_filter: str = "all"):
     if genus < 0:
         raise ValueError("genus must be nonnegative")
     caps = (genus,) * (p - 1)
-    if class_filter in ("sym", "psym"):
+    if class_filter == "all":
+        mus = _walk(p, caps, genus, genus)
+    elif class_filter == "medim":  # the shift adds 1 to each coordinate and p - 1 to the genus
+        mus = [tuple(x + 1 for x in mu) for mu in _walk(p, caps, genus - p + 1, genus - p + 1)]
+    else:
         loci = _class_loci(p, class_filter)
         mus = sorted(mu for locus in loci for mu in _locus_walk(locus, caps, genus, genus))
-    else:
-        mus = _walk(p, caps, genus, genus, strict=class_filter == "medim")
     return [core.Semigroup._trusted(p, mu) for mu in mus]
 
 
-def genus_window(
-    p: int, low: int, high: int, class_filter: str = "all", workers: int = 1
-) -> list[int]:
+def genus_window(p: int, low: int, high: int, class_filter: str = "all") -> list[int]:
     """Counts for every genus low..high, from one walk of the cone."""
     _check_args(p, class_filter)
     if low < 0:
         raise ValueError("genus must be nonnegative")
     if high < low:
         raise ValueError("genus window is empty")
-    return _counted(p, (high,) * (p - 1), low, high, class_filter, workers)
+    if class_filter != "medim":
+        return _counted(p, (high,) * (p - 1), low, high, class_filter)
+    zeros = [0] * (min(high, p - 2) - low + 1)  # the shift adds p - 1 to the genus
+    return zeros + genus_window(p, max(0, low - p + 1), high - p + 1) if high >= p - 1 else zeros
 
 
-def count_by_genus(p: int, genus: int, class_filter: str = "all", workers: int = 1) -> int:
-    return genus_window(p, genus, genus, class_filter, workers)[0]
+def count_by_genus(p: int, genus: int, class_filter: str = "all") -> int:
+    return genus_window(p, genus, genus, class_filter)[0]
 
 
 def genus_count_series(p: int, g_max: int, class_filter: str = "all") -> list[int]:
@@ -751,8 +749,10 @@ def containment_caps(p: int, q: int) -> tuple[int, ...]:
     return core.from_generators((p, q), p).mu
 
 
-def count_containing(p: int, q: int, class_filter: str = "all", workers: int = 1) -> int:
+def count_containing(p: int, q: int, class_filter: str = "all") -> int:
     """Number of semigroups containing both p and q, optionally filtered."""
     _check_args(p, class_filter)
-    caps = containment_caps(p, q)
-    return _counted(p, caps, 0, sum(caps), class_filter, workers, total=True, r=q % p)
+    caps = containment_caps(p, q)  # also checks q for 'medim'
+    if class_filter == "medim":  # the shift holds q when S holds q - p
+        return count_containing(p, q - p) if q > p else 0
+    return _counted(p, caps, 0, sum(caps), class_filter, total=True, r=q % p)

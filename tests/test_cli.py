@@ -151,6 +151,12 @@ def test_workers_below_one_is_usage_error(capsys, workers):
     assert "workers must be at least 1" in err
 
 
+def test_workers_below_one_is_refused_before_any_count(capsys):
+    # no q in 2..4 is coprime to 6, so no count runs; the flag is checked anyway
+    code, out, err = run_cli(capsys, "count", "--p", "6", "--contains", "2..4", "--workers", "0")
+    assert (code, out, err) == (2, "", "error: workers must be at least 1\n")
+
+
 def test_paths_verify_recursions(capsys):
     code, out, _ = run_cli(capsys, "paths", "--p", "3", "--verify-recursions", "--q-max", "20")
     assert code == 0
@@ -160,8 +166,8 @@ def test_paths_verify_recursions(capsys):
 def test_recursion_mismatch_names_the_first_witness(monkeypatch, capsys):
     count_containing = cli.counting.count_containing
 
-    def off_by_one_at_13(p, q, class_filter="all", workers=1):
-        return count_containing(p, q, class_filter, workers) + (q == 13 and class_filter == "sym")
+    def off_by_one_at_13(p, q, class_filter="all"):
+        return count_containing(p, q, class_filter) + (q == 13 and class_filter == "sym")
 
     monkeypatch.setattr(cli.counting, "count_containing", off_by_one_at_13)
     code, out, err = run_cli(capsys, "paths", "--p", "3", "--verify-recursions", "--q-max", "20")

@@ -149,6 +149,17 @@ def test_medim_identity():
     assert verify_medim_identity(5, 30)
 
 
+@pytest.mark.parametrize(
+    "q,error",
+    [(-1, "q must be positive"), (0, r"gcd\(6, 0\)"), (6, r"gcd\(6, 6\)"), (9, r"gcd\(6, 9\)")],
+)
+def test_medim_containment_checks_q_before_the_shift(q, error):
+    # medim counts at q - p, but q itself is checked, with the errors of 'all'
+    for cls in ("all", "medim"):
+        with pytest.raises(ValueError, match=error):
+            count_containing(6, q, cls)
+
+
 def test_symmetric_plus_medim_splits_p3():
     # at p = 3 every semigroup is either symmetric or of maximal embedding
     # dimension, never both
@@ -168,12 +179,6 @@ def test_figure_counts_p3():
     assert psym[0] == 0
 
 
-def test_workers_do_not_change_counts():
-    assert count_by_genus(4, 9, workers=2) == count_by_genus(4, 9)
-    assert count_containing(3, 13, workers=2) == count_containing(3, 13)
-    assert count_containing(4, 11, "sym", workers=2) == count_containing(4, 11, "sym")
-
-
 def _forbid_fork(monkeypatch):
     """Fail the test at any fork: every count runs in this process."""
 
@@ -181,14 +186,6 @@ def _forbid_fork(monkeypatch):
         raise AssertionError("a count forked a process")
 
     monkeypatch.setattr(os, "fork", fork, raising=False)
-
-
-@pytest.mark.parametrize("workers", [0, -1])
-def test_workers_below_one_rejected(workers):
-    with pytest.raises(ValueError, match="workers must be at least 1"):
-        count_by_genus(4, 5, workers=workers)
-    with pytest.raises(ValueError, match="workers must be at least 1"):
-        count_containing(3, 7, workers=workers)
 
 
 def test_table_constructors():
@@ -219,43 +216,52 @@ def walks(draw):
         high = draw(st.integers(1, GENUS_MAX[p]))
         low = draw(st.integers(1, high))
         caps = (high,) * (p - 1)
-    strict = draw(st.booleans())
-    return p, caps, low, high, strict
+    return p, caps, low, high
 
 
 @given(walks(), st.sampled_from(("sym", "psym")))
 @settings(max_examples=120, deadline=None)
 def test_walk_matches_plain_dfs(walk, cls):
-    p, caps, low, high, strict = walk
-    points = [
-        mu
-        for mu in oracles.dfs_iter_points(p, caps, max_total=high, strict=strict)
-        if sum(mu) >= low
-    ]
+    p, caps, low, high = walk
+    plain = list(oracles.dfs_iter_points(p, caps, max_total=high))
+    points = [mu for mu in plain if sum(mu) >= low]
     # list the vectors
-    assert counting._walk(p, caps, low, high, strict) == points
+    assert counting._walk(p, caps, low, high) == points
     # count by sum, and in total
-    series = oracles.dfs_sum_series(p, caps, high, strict)
-    walk_cls = "medim" if strict else "all"
-    assert counting._counted(p, caps, low, high, walk_cls, 1, False) == series[low:]
-    assert counting._counted(p, caps, low, high, walk_cls, 1, True) == sum(series[low:])
+    series = oracles.dfs_sum_series(p, caps, high)
+    assert counting._counted(p, caps, low, high, "all", False) == series[low:]
+    assert counting._counted(p, caps, low, high, "all", True) == sum(series[low:])
     # filter by class
-    plain = oracles.dfs_iter_points(p, caps, max_total=high)
-    kept = [mu for mu in plain if sum(mu) >= low and PREDICATES[cls](p, mu)]
-    by_class = counting._counted(p, caps, low, high, cls, 1, False)
+    kept = [mu for mu in points if PREDICATES[cls](p, mu)]
+    by_class = counting._counted(p, caps, low, high, cls, False)
     assert by_class == [sum(1 for mu in kept if sum(mu) == g) for g in range(low, high + 1)]
     if low == 0:
         # count the whole walk
-        cls = "medim" if strict else "all"
-        assert counting._counted(p, caps, 0, high, cls, 1, total=True) == oracles.dfs_count_points(
-            p, caps, strict=strict
+        assert counting._counted(p, caps, 0, high, "all", total=True) == oracles.dfs_count_points(
+            p, caps
         )
     else:
         # test the fixed sum, at both ends of the window
         for g in (low, high):
-            assert count_by_genus(p, g, "medim" if strict else "all") == oracles.dfs_count_points(
-                p, (g,) * (p - 1), target=g, strict=strict
-            )
+            assert count_by_genus(p, g) == oracles.dfs_count_points(p, (g,) * (p - 1), target=g)
+
+
+@given(st.integers(3, 8), st.data())
+@settings(max_examples=80, deadline=None)
+def test_medim_shift_matches_the_interior_walk(p, data):
+    # 'medim' is 'all' moved by the all-ones vector; the plain depth-first walk
+    # of the cone's interior checks the shift independently.
+    high = data.draw(st.integers(0, GENUS_MAX[p] + p - 1))
+    low = data.draw(st.integers(0, high))
+    series = oracles.dfs_sum_series(p, (high,) * (p - 1), high, strict=True)
+    assert genus_window(p, low, high, "medim") == series[low:]
+    for g in (low, high):
+        interior = oracles.dfs_iter_points(p, (g,) * (p - 1), target=g, strict=True)
+        assert [s.mu for s in enumerate_by_genus(p, g, "medim")] == list(interior)
+    drawn = data.draw(st.integers(1, Q_MAX[p]).filter(lambda q: math.gcd(p, q) == 1))
+    for q in [q for q in range(1, p) if math.gcd(p, q) == 1] + [drawn]:
+        expected = oracles.dfs_count_points(p, containment_caps(p, q), strict=True)
+        assert count_containing(p, q, "medim") == expected
 
 
 # The natural-order walk these are checked against is the slow one at
@@ -270,15 +276,15 @@ def containments(draw):
     return p, draw(st.sampled_from(range(r, Q_ORDER_MAX[p] + 1, p)))
 
 
-@given(containments(), st.sampled_from(("all", "medim")))
+@given(containments())
 @settings(max_examples=100, deadline=None)
-def test_walk_in_q_order_counts_as_natural_order(pq, cls):
+def test_walk_in_q_order_counts_as_natural_order(pq):
     # count_containing walks the cone fixing the residues q, 2q, ... mod p in turn
     p, q = pq
     caps = containment_caps(p, q)
-    natural = counting._counted(p, caps, 0, sum(caps), cls, 1, total=True)
-    assert counting._counted(p, caps, 0, sum(caps), cls, 1, total=True, r=q % p) == natural
-    assert count_containing(p, q, cls) == natural
+    natural = counting._counted(p, caps, 0, sum(caps), "all", total=True)
+    assert counting._counted(p, caps, 0, sum(caps), "all", total=True, r=q % p) == natural
+    assert count_containing(p, q) == natural
 
 
 def test_q_order_walk_is_refused_where_natural_order_is_needed():
@@ -294,14 +300,14 @@ def test_q_order_walk_is_refused_where_natural_order_is_needed():
 @given(walks())
 @settings(max_examples=60, deadline=None)
 def test_least_completion_row_holds_at_every_point(walk):
-    # x_{d+1}..x_n add at least r (x_d + c) / 2 to the prefix x_1..x_d, with
-    # r = n - d and c = -1, or 0 in the interior: the row _walk puts on x_d.
-    p, caps, _, high, strict = walk
-    n, c = p - 1, strict - 1
-    for mu in oracles.dfs_iter_points(p, caps, max_total=high, strict=strict):
+    # x_{d+1}..x_n add at least r (x_d - 1) / 2 to the prefix x_1..x_d, with
+    # r = n - d: the row _walk puts on x_d.
+    p, caps, _, high = walk
+    n = p - 1
+    for mu in oracles.dfs_iter_points(p, caps, max_total=high):
         for d in range(1, n - 1):
             r = n - d
-            assert 2 * sum(mu[: d - 1]) + (r + 2) * mu[d - 1] + r * c <= 2 * sum(mu)
+            assert 2 * sum(mu[: d - 1]) + (r + 2) * mu[d - 1] - r <= 2 * sum(mu)
 
 
 @pytest.mark.parametrize(
@@ -434,9 +440,9 @@ def test_p5_genus_windows_match_closed_form(low, width):
 def test_two_workers_sum_genus_windows_elementwise(monkeypatch):
     _forbid_fork(monkeypatch)
     slices = [list(oracles.dfs_iter_points(5, (g,) * 4, target=g)) for g in range(6, 15)]
-    assert genus_window(5, 6, 14, "all", workers=2) == [len(s) for s in slices]
+    assert genus_window(5, 6, 14, "all") == [len(s) for s in slices]
     psym = [sum(1 for mu in s if _is_pseudo_symmetric_mu(5, mu)) for s in slices]
-    assert genus_window(5, 6, 14, "psym", workers=2) == psym
+    assert genus_window(5, 6, 14, "psym") == psym
 
 
 @pytest.mark.parametrize("p", [3, 4, 5, 6])
@@ -459,12 +465,12 @@ def test_enumerate_walks_each_class_directly(p):
 @given(walks(), st.sampled_from(("sym", "psym")))
 @settings(max_examples=150, deadline=None)
 def test_locus_walk_matches_class_filter(walk, cls):
-    p, caps, low, high, _ = walk
+    p, caps, low, high = walk
     kept = oracles.filter_class_points(p, caps, low, high, cls)
     by_sum = [sum(1 for mu in kept if sum(mu) == g) for g in range(low, high + 1)]
     loci = counting._class_loci(p, cls)
-    assert counting._counted(p, caps, low, high, cls, 1, False) == by_sum
-    assert counting._counted(p, caps, low, high, cls, 1, True) == len(kept)
+    assert counting._counted(p, caps, low, high, cls, False) == by_sum
+    assert counting._counted(p, caps, low, high, cls, True) == len(kept)
     walked = [mu for locus in loci for mu in counting._locus_walk(locus, caps, low, high)]
     assert sorted(walked) == kept
 
@@ -494,6 +500,7 @@ def test_large_p_needs_no_frame_per_coordinate():
     try:
         assert genus_window(120, 0, 3) == [1, 1, 2, 4]
         assert genus_window(120, 0, 3, "medim") == [0, 0, 0, 0]
+        assert genus_window(120, 119, 122, "medim") == [1, 1, 2, 4]
     finally:
         sys.setrecursionlimit(limit)
 
@@ -514,15 +521,15 @@ def test_class_counts_start_no_process(monkeypatch):
     serial = {cls: count_containing(6, 47, cls) for cls in ("sym", "psym")}
     _forbid_fork(monkeypatch)
     for cls in ("sym", "psym"):
-        assert count_containing(6, 47, cls, workers=2) == serial[cls]
+        assert count_containing(6, 47, cls) == serial[cls]
 
 
 @pytest.mark.parametrize("cls", ["all", "medim", "sym", "psym"])
 def test_forked_workers_count_as_serial(monkeypatch, cls):
-    # --workers 2 is accepted and counts in this process, as workers=1 does.
+    # every class counts in this process, whatever --workers the CLI was given
     serial = count_containing(6, 47, cls), genus_window(5, 6, 14, cls)
     _forbid_fork(monkeypatch)
-    assert (count_containing(6, 47, cls, workers=2), genus_window(5, 6, 14, cls, workers=2)) == serial
+    assert (count_containing(6, 47, cls), genus_window(5, 6, 14, cls)) == serial
 
 
 @pytest.mark.parametrize(
@@ -540,7 +547,7 @@ def test_forked_workers_count_as_serial(monkeypatch, cls):
 def test_classes_and_p3_count_in_one_process(monkeypatch, count, args):
     serial = count(*args)
     _forbid_fork(monkeypatch)
-    assert count(*args, workers=2) == count(*args, workers=1000) == serial
+    assert count(*args) == serial
 
 
 def test_locus_is_a_frozen_value():
