@@ -49,9 +49,12 @@ count adds the length of each last interval.
 
 A face of the cone under caps, on which some coordinates sit at their caps,
 is walked the same way: the paper's staircases of <p, q> with at most h
-rows, and those new at q, lie on such faces (nsg.paths).  Loci and faces
-alike write each coordinate as an affine form in the walk's variables and
-substitute it into the cone's rows (_cone_on).
+rows, and those new at q, lie on such faces (nsg.paths).  So is the
+hyperplane section sum(x) = g, whose points are the semigroups of genus g.
+Loci, faces and the section alike write each coordinate as an affine form in
+the walk's variables and substitute it into the cone's rows (_cone_on).  The
+counts visit no point; every listing reads its points off one of these walks
+through one decoder, _points.
 """
 
 from __future__ import annotations
@@ -184,19 +187,17 @@ def _cone_rows(p: int, r: int = 1):
     return tuple(map(tuple, levels)), tuple(tuple(map(tuple, rules)) for rules in tails)
 
 
-def _walk(p, caps, min_total=0, max_total=None, leaf=None, r=1):
-    """Walk the lattice points under caps in the cone.
+def _walk(p, caps, low, high, leaf, r=1):
+    """Count the lattice points under caps in the cone through leaf.
 
-    Only points whose sum lies in min_total..max_total are visited.  Without
-    leaf, return the points in lexicographic order.  With leaf, return
-    nothing and hand leaf each prefix's polygon instead.
+    Only points whose sum lies in low..high are counted, and no
+    point is visited: leaf is handed each prefix's polygon instead.
 
     caps[i - 1] caps the coordinate of residue i.  The walk fixes the
     residues r, 2r, 3r, ... mod p in turn (_cone_rows), so r = q mod p
     walks a containment count in the order in which its caps
-    floor(t q / p) grow; any r other than 1 needs min_total = 0 and leaf,
-    since the reach row below holds only in natural order and listed
-    points would come out relabelled.
+    floor(t q / p) grow; any r other than 1 needs low = 0, since the
+    reach row below holds only in natural order.
 
     _walk_rows fixes x_1..x_{n-3} (n = p - 1) under the cone's rows, the
     caps, the least sum a completion must still add and the most it can
@@ -209,11 +210,9 @@ def _walk(p, caps, min_total=0, max_total=None, leaf=None, r=1):
     own rules, are each the least or the greatest of a few forms affine in
     v, folded once per prefix to one constant per slope; the loop over v
     finds them, lo and xmax by plain comparisons, not builtin min and max
-    calls.  leaf gets (total + v - min_total, lo, xmax, A, B, C, D, F, G, K);
-    only the listing loops over the points themselves.
+    calls.  leaf gets (total + v - low, lo, xmax, A, B, C, D, F, G, K).
     """
-    low, high = min_total, sum(caps) if max_total is None else max_total
-    if r != 1 and (low or leaf is None):
+    if r != 1 and low:
         raise ValueError("only a total count from 0 may walk out of natural order")
     n = p - 1
     m = n - 1  # x_m is x_{n-1}, x_{m-1} is x_{n-2}
@@ -255,12 +254,10 @@ def _walk(p, caps, min_total=0, max_total=None, leaf=None, r=1):
                    for f, rules in enumerate((flat, falling, falls + fixed)) for i, k, c in rules]
     # x_n <= caps[n - 1] and x_{n-1} <= caps[n - 2] before any form
     upper_start = [caps[n - 1]] + [far] * 8 + [caps[m - 1], far, far]
-    mu = [0] * (n + 2)
-    points = []
+    mu = [0] * (n + 2)  # mu[m - 1] and mu[m] stay 0, so that each form below reads v and x as 0
     for lo, hi in _walk_rows(levels, mu, sum_at):
         total = mu[sum_at]
         K = high - total
-        mu[m - 1] = mu[m] = 0  # so that each form below reads v and x as 0
         upper = upper_start[:]  # A = min(a0, v + a1, 2v + a2), and so B, C and top
         for f, i, j, c in upper_forms:
             if mu[i] + mu[j] - c < upper[f]:
@@ -333,15 +330,7 @@ def _walk(p, caps, min_total=0, max_total=None, leaf=None, r=1):
                 A = a0
             if w + a2 < A:
                 A = w + a2
-            if leaf is not None:
-                leaf(total + v - low, x_lo, xmax, A, B, C, D, F, G, Kv)
-                continue
-            mu[m - 1] = v
-            for x, bottom, y_top in _columns(x_lo, xmax, A, B, C, D, F, G, Kv):
-                mu[m] = x
-                for mu[n] in range(bottom, y_top + 1):
-                    points.append(tuple(mu[1:sum_at]))
-    return points
+            leaf(total + v - low, x_lo, xmax, A, B, C, D, F, G, Kv)
 
 
 def _pieces(lo, xmax, A, B, C, D, F, G, K):
@@ -431,25 +420,9 @@ def _pieces(lo, xmax, A, B, C, D, F, G, K):
 SHORT_RANGE = 6
 
 
-def _columns(lo, xmax, A, B, C, D, F, G, K):
-    """(x, least y, greatest y) for each x in lo..xmax with a point (x, y) of
-    the polygon of _pieces."""
-    for x in range(lo, xmax + 1):
-        top = A if A < x + B else x + B
-        if 2 * x + C < top:
-            top = 2 * x + C
-        if K - x < top:
-            top = K - x
-        bottom = D if D > F - x else F - x
-        if (x + G + 1) // 2 > bottom:
-            bottom = (x + G + 1) // 2
-        if bottom <= top:
-            yield x, bottom, top
-
-
 def _polygon_count(lo, xmax, A, B, C, D, F, G, K):
     """Number of lattice points of the polygon of _pieces."""
-    if xmax - lo < SHORT_RANGE:  # the loop of _columns, without a generator
+    if xmax - lo < SHORT_RANGE:  # a plain loop over x, without a generator
         count = 0
         for x in range(lo, xmax + 1):
             top = A if A < x + B else x + B
@@ -489,7 +462,7 @@ def _polygon_runs(runs, offset, lo, xmax, A, B, C, D, F, G, K):
     step by a fixed stride, the slope of the bound plus one.  A half-slope
     lower bound steps by 3 over every other x, so each parity of x is a run.
     """
-    if xmax - lo < SHORT_RANGE:  # the loop of _columns, without a generator
+    if xmax - lo < SHORT_RANGE:  # a plain loop over x, without a generator
         diff = runs[0]
         for x in range(lo, xmax + 1):
             top = A if A < x + B else x + B
@@ -569,15 +542,47 @@ def _cone_on(p, forms, size, extra):
     return tuple(map(tuple, rows))
 
 
+def _points(forms, ranges, v):
+    """Yield the point x, x_c = sum(a * v_i for i, a in terms) + b for
+    (terms, b) = forms[c - 1], at each value of the last variable in each
+    range (lo, hi) of _walk_rows over v, which holds the walk's variables and
+    nothing more.  The prefix is read once per range; each further value adds
+    the last variable's coefficients."""
+    last = len(v) - 1
+    steps = [(c, a) for c, (terms, _) in enumerate(forms) for i, a in terms if i == last]
+    for lo, hi in ranges:
+        v[last] = lo
+        x = [sum(a * v[i] for i, a in terms) + b for terms, b in forms]
+        for _ in range(lo, hi):
+            yield tuple(x)
+            for c, a in steps:
+                x[c] += a
+        yield tuple(x)
+
+
+def _section_points(p, genus):
+    """The points of the hyperplane section sum(x) = genus of the cone, in
+    lexicographic order: x_1..x_{n-1} (n = p - 1) are walked, and
+    x_n = genus - (x_1 + ... + x_{n-1}).  Each x_d, d < n - 1, is bounded by
+    _walk's least-completion row, which implies x_1 + ... + x_d <= genus, and
+    x_{n-1} by x_n >= 0; the caps (genus, ..., genus) follow from x >= 0."""
+    k = p - 2  # the walk's variables, x_1..x_{n-1}
+    forms = [(((c, 1),), 0) for c in range(k)] + [(tuple((c, -1) for c in range(k)), genus)]
+    completions = [([(c, -2) for c in range(1, d)] + [(d, d - p - 1)], 2 * genus + k + 1 - d)
+                   for d in range(1, k)]
+    v = [0] * k  # no row of the section is constant, so _cone_on returns rows
+    return _points(forms, _walk_rows(_cone_on(p, forms, k, completions), v), v)
+
+
 def _face_ranges(p, caps, free, v, total=None):
-    """_walk_rows, with total, over the face of the cone under caps on which
-    every residue but those of free sits at its cap; walk variable v_f is the
-    coordinate of residue free[f], and the others are constants."""
+    """(forms, ranges) for _points over the face of the cone under caps on
+    which every residue but those of free sits at its cap, walk variable v_f
+    being the coordinate of residue free[f]; ranges come from _walk_rows."""
     forms = [((), cap) for cap in caps]
     for f, c in enumerate(free):
         forms[c - 1] = (((f, 1),), 0)
     rows = _cone_on(p, forms, len(free), [([(c, -1)], caps[c - 1]) for c in free])
-    return () if rows is None else _walk_rows(rows, v, total)
+    return forms, () if rows is None else _walk_rows(rows, v, total)
 
 
 class _Locus(Record):
@@ -653,14 +658,6 @@ def _locus_ranges(locus, caps, low, high, v):
     return _walk_rows(rows, v)
 
 
-def _locus_walk(locus, caps, low, high):
-    """Yield the points of one locus under caps in the cone, with sums low..high."""
-    v = [0] * len(locus.rows)
-    for lo, hi in _locus_ranges(locus, caps, low, high, v):
-        for v[-1] in range(lo, hi + 1):
-            yield tuple(sum(a * v[i] for i, a in terms) + b for terms, b in locus.forms)
-
-
 def _counted(p, caps, low, high, class_filter, total=False, r=1):
     """Counts of the points of one walk with each sum low..high, or their total.
 
@@ -700,14 +697,16 @@ def enumerate_by_genus(p: int, genus: int, class_filter: str = "all"):
     _check_args(p, class_filter)
     if genus < 0:
         raise ValueError("genus must be nonnegative")
-    caps = (genus,) * (p - 1)
     if class_filter == "all":
-        mus = _walk(p, caps, genus, genus)
+        mus = _section_points(p, genus)
     elif class_filter == "medim":  # the shift adds 1 to each coordinate and p - 1 to the genus
-        mus = [tuple(x + 1 for x in mu) for mu in _walk(p, caps, genus - p + 1, genus - p + 1)]
+        mus = (tuple(x + 1 for x in mu) for mu in _section_points(p, genus - p + 1))
     else:
-        loci = _class_loci(p, class_filter)
-        mus = sorted(mu for locus in loci for mu in _locus_walk(locus, caps, genus, genus))
+        mus, caps = [], (genus,) * (p - 1)
+        for locus in _class_loci(p, class_filter):
+            v = [0] * len(locus.rows)
+            mus += _points(locus.forms, _locus_ranges(locus, caps, genus, genus, v), v)
+        mus.sort()
     return [core.Semigroup._trusted(p, mu) for mu in mus]
 
 

@@ -24,6 +24,7 @@ count is that count plus one).
 from __future__ import annotations
 
 import math
+from itertools import chain, groupby, product
 
 from . import core, counting
 from ._record import Record
@@ -123,20 +124,22 @@ class LatticePath(Record):
             hs.pop()
         if not hs:
             return cls((), frozenset())
-        if any(h <= 0 for h in hs):
+        if min(hs) <= 0:
             raise ValueError("interior zero column in a staircase profile")
-        if any(hs[a + 1] > hs[a] for a in range(len(hs) - 1)):
+        if hs != sorted(hs, reverse=True):
             raise ValueError("heights must be non-increasing")
-        points = frozenset((a, b) for a, h in enumerate(hs) for b in range(h))
-        corners = [(0, hs[0] - 1)]
-        for a in range(len(hs)):
-            if a == len(hs) - 1 or hs[a + 1] < hs[a]:
-                top = (a, hs[a] - 1)
-                if top != corners[-1]:
-                    corners.append(top)
-        if corners[-1] != (len(hs) - 1, 0):
+        # a run of columns a..b-1 of height h ends in the corner (b - 1, h - 1),
+        # which is the start itself when the first run is one column wide
+        corners, columns, a = [(0, hs[0] - 1)], [], 0
+        for h, run in groupby(hs):
+            b = a + len(list(run))
+            if b > 1:
+                corners.append((b - 1, h - 1))
+            columns.append(product(range(a, b), range(h)))
+            a = b
+        if hs[-1] > 1:
             corners.append((len(hs) - 1, 0))
-        return cls(tuple(corners), points)
+        return cls(tuple(corners), frozenset(chain.from_iterable(columns)))
 
     @property
     def is_empty(self) -> bool:
@@ -182,7 +185,7 @@ def is_admissible(system: PathSystem, path: LatticePath) -> bool:
 
 
 def _path_face(system: PathSystem, rows: int, v, total=None):
-    """(free, counting._face_ranges) over the paths of at most rows rows,
+    """(free, *counting._face_ranges) over the paths of at most rows rows,
     p >= 3, where walk variable v_f is the coordinate of residue free[f].
 
     Row k of a path is as wide as the cap of the residue (p - k) q mod p
@@ -196,7 +199,7 @@ def _path_face(system: PathSystem, rows: int, v, total=None):
     caps = list(counting.containment_caps(p, q))
     caps[-q % p - 1] -= 1
     free = [t * q % p for t in range(p - rows, p)]
-    return free, counting._face_ranges(p, caps, free, v, total)
+    return (free, *counting._face_ranges(p, caps, free, v, total))
 
 
 def _iter_admissible_heights(system: PathSystem, h0_max=None):
@@ -210,14 +213,10 @@ def _iter_admissible_heights(system: PathSystem, h0_max=None):
     if p == 2:
         yield from ((1,) * width for width in range(1, q // 2 + 1))
         return
-    mu = list(counting.containment_caps(p, q))
     v = [0] * rows
-    free, ranges = _path_face(system, rows, v)
-    for lo, hi in ranges:
-        for c, x in zip(free[:-1], v):
-            mu[c - 1] = x
-        for mu[free[-1] - 1] in range(lo, hi + 1):
-            yield _heights(system, mu)
+    _, forms, ranges = _path_face(system, rows, v)
+    for mu in counting._points(forms, ranges, v):
+        yield _heights(system, mu)
 
 
 def count_admissible(system: PathSystem) -> int:
@@ -348,7 +347,7 @@ def verify_path_recursions(p: int, q_max: int) -> PathRecursionReport:
             continue
         new_total = new_sym = new_psym = 0
         v = [0] * (p - 1)  # v[-1] holds the sum of the fixed variables
-        free, ranges = _path_face(PathSystem(p, q), p - 2, v, total=p - 2)
+        free, _, ranges = _path_face(PathSystem(p, q), p - 2, v, total=p - 2)
         for lo, hi in ranges:
             genus = q // p + v[-1]  # the pinned coordinate and the fixed ones
             apery = q  # r + floor(q / p) p

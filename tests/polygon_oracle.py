@@ -3,13 +3,15 @@ was split into lists of runs, kept as an oracle for the straight-line leaves.
 
 ``_polygon`` lists the runs of x on which one line bounds the polygon from
 above or below, and ``_polygon_count`` and ``_polygon_runs`` count from
-those lists, or loop over ``counting._columns`` when the range of x is
-shorter than ``SHORT_RANGE``.  A test patches ``SHORT_RANGE`` here to force
-either path.  This file is not ``oracles.py``: the benchmark runner loads
-that one, and every line there shows in its resident set.
+those lists, or loop over ``_columns`` when the range of x is shorter than
+``SHORT_RANGE``.  ``_columns`` is the plain loop over x that the leaves of
+``nsg.counting`` inline below ``SHORT_RANGE``; it lives here since the
+library lists no point of the polygon.  A test patches ``SHORT_RANGE`` here
+to force either path.  This file is not ``oracles.py``: the benchmark runner
+loads that one, and every line there shows in its resident set.
 """
 
-from nsg.counting import SHORT_RANGE, _columns
+from nsg.counting import SHORT_RANGE
 
 
 def _polygon(lo, xmax, A, B, C, D, F, G, K):
@@ -47,6 +49,22 @@ def _polygon(lo, xmax, A, B, C, D, F, G, K):
                     break
                 a = b + 1
     return tops, bottoms
+
+
+def _columns(lo, xmax, A, B, C, D, F, G, K):
+    """(x, least y, greatest y) for each x in lo..xmax with a point (x, y) of
+    the polygon of _polygon."""
+    for x in range(lo, xmax + 1):
+        top = A if A < x + B else x + B
+        if 2 * x + C < top:
+            top = 2 * x + C
+        if K - x < top:
+            top = K - x
+        bottom = D if D > F - x else F - x
+        if (x + G + 1) // 2 > bottom:
+            bottom = (x + G + 1) // 2
+        if bottom <= top:
+            yield x, bottom, top
 
 
 def _half_sum(n):

@@ -45,9 +45,9 @@ from nsg.closed_forms import (
     symmetric_step_3,
     symmetric_step_4,
 )
-from nsg.counting import _walk
 from oracles import (
     asymptotic_ratio_check,
+    dfs_iter_points,
     interior_shift_check,
     sigma_star_set,
     verify_interior_identity,
@@ -300,7 +300,7 @@ def test_acceptance_11_property_suites():
 
     # coordinate-vector round trip through generators, entries <= 6
     for p in (3, 4, 5):
-        for mu in _walk(p, (6,) * (p - 1)):
+        for mu in dfs_iter_points(p, (6,) * (p - 1)):
             s = Semigroup(p, mu)
             if from_generators(s.minimal_generators(), p).mu != mu:
                 ok = False
@@ -310,7 +310,7 @@ def test_acceptance_11_property_suites():
 
     # paired class-minima characterization of symmetry, p <= 5, genus <= 12
     for p in (3, 4, 5):
-        for mu in _walk(p, (12,) * (p - 1), max_total=12):
+        for mu in dfs_iter_points(p, (12,) * (p - 1), max_total=12):
             s = Semigroup(p, mu)
             ap = sorted((0, *s.apery_elements()))
             paired = all(ap[i] + ap[p - 1 - i] == ap[p - 1] for i in range(p))
@@ -320,7 +320,7 @@ def test_acceptance_11_property_suites():
     # pseudo-symmetric locus equivalence, p in {3, 5}, genus <= 10
     for p in (3, 5):
         loci = sigma_star_set(p)
-        for mu in _walk(p, (10,) * (p - 1), max_total=10):
+        for mu in dfs_iter_points(p, (10,) * (p - 1), max_total=10):
             if not any(mu):
                 continue
             if any(l.contains(mu) for l in loci) != Semigroup(p, mu).is_pseudo_symmetric():

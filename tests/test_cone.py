@@ -15,8 +15,13 @@ from nsg import (
 )
 from nsg import counting
 from nsg.cone import star_inequalities
-from nsg.counting import _walk
-from oracles import interior_shift_check, interior_shift_witness, rank, sigma_star_set
+from oracles import (
+    dfs_iter_points,
+    interior_shift_check,
+    interior_shift_witness,
+    rank,
+    sigma_star_set,
+)
 from record_checks import check_record
 
 
@@ -198,7 +203,7 @@ def test_in_sigma_locus_examples():
 def test_pseudo_symmetric_locus_equivalence(p):
     # nonzero admissible vectors: pseudo-symmetric iff they solve some locus
     loci = sigma_star_set(p)
-    for mu in _walk(p, (10,) * (p - 1), max_total=10):
+    for mu in dfs_iter_points(p, (10,) * (p - 1), max_total=10):
         if not any(mu):
             continue
         in_locus = any(locus.contains(mu) for locus in loci)
@@ -207,15 +212,11 @@ def test_pseudo_symmetric_locus_equivalence(p):
 
 @pytest.mark.parametrize("p", [3, 4, 5, 6, 7])
 def test_counting_psym_loci_match_sigma_loci(p):
-    # counting builds its 'psym' loci directly, without the permutation search
-    caps = (10,) * (p - 1)
-    walked = {
-        mu
-        for locus in counting._class_loci(p, "psym")
-        for mu in counting._locus_walk(locus, caps, 0, 10)
-    }
+    # counting builds its 'psym' loci directly, without the permutation
+    # search, and lists each genus off them
+    walked = {s.mu for g in range(11) for s in counting.enumerate_by_genus(p, g, "psym")}
     sigma = sigma_star_set(p)
-    for mu in _walk(p, caps, max_total=10):
+    for mu in dfs_iter_points(p, (10,) * (p - 1), max_total=10):
         on_sigma = any(locus.contains(mu) for locus in sigma)
         # the origin solves the identity sigma locus but is not pseudo-symmetric
         assert (mu in walked) == (on_sigma and any(mu))
@@ -242,7 +243,7 @@ def test_genus_slice_bijection(p):
     from collections import Counter
 
     per_genus = Counter()
-    for mu in _walk(p, (12,) * (p - 1), max_total=12):
+    for mu in dfs_iter_points(p, (12,) * (p - 1), max_total=12):
         per_genus[sum(mu)] += 1
     tree = oracles.tree_counts_containing_p(p, 12)
     for g in range(13):

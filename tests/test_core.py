@@ -11,8 +11,8 @@ from nsg import (
     build_cone,
     from_generators,
 )
-from nsg.counting import _walk, containment_caps
-from oracles import GapSet
+from nsg.counting import containment_caps
+from oracles import GapSet, dfs_iter_points
 from record_checks import check_record
 
 
@@ -113,7 +113,7 @@ def test_semigroup_validates_mu():
 def test_mu_roundtrip_through_generators(p):
     # every admissible vector with entries <= 6 survives the round trip
     caps = (6,) * (p - 1)
-    for mu in _walk(p, caps):
+    for mu in dfs_iter_points(p, caps):
         s = Semigroup(p, mu)
         back = from_generators(s.minimal_generators(), p)
         assert back.mu == mu
@@ -121,7 +121,7 @@ def test_mu_roundtrip_through_generators(p):
 
 @pytest.mark.parametrize("p", [3, 4, 5])
 def test_genus_matches_gap_count(p):
-    for mu in _walk(p, (15,) * (p - 1), max_total=15):
+    for mu in dfs_iter_points(p, (15,) * (p - 1), max_total=15):
         s = Semigroup(p, mu)
         assert s.genus() == len(s.gaps())
 
@@ -129,7 +129,7 @@ def test_genus_matches_gap_count(p):
 @pytest.mark.parametrize("p", [3, 4, 5])
 def test_apery_symmetry_characterization(p):
     # symmetric iff the sorted class minima (with 0) pair up to the largest
-    for mu in _walk(p, (12,) * (p - 1), max_total=12):
+    for mu in dfs_iter_points(p, (12,) * (p - 1), max_total=12):
         s = Semigroup(p, mu)
         ap = sorted((0, *s.apery_elements()))
         paired = all(ap[i] + ap[p - 1 - i] == ap[p - 1] for i in range(p))
@@ -139,7 +139,7 @@ def test_apery_symmetry_characterization(p):
 @pytest.mark.parametrize("p", [5, 7])
 def test_pseudo_symmetric_embedding_dimension_below_p(p):
     hits = 0
-    for mu in _walk(p, (12,) * (p - 1), max_total=12):
+    for mu in dfs_iter_points(p, (12,) * (p - 1), max_total=12):
         s = Semigroup(p, mu)
         if s.is_pseudo_symmetric():
             hits += 1
@@ -150,7 +150,7 @@ def test_pseudo_symmetric_embedding_dimension_below_p(p):
 def test_max_embedding_dimension_matches_interior():
     for p in (3, 4, 5):
         cone = build_cone(p)
-        for mu in _walk(p, (8,) * (p - 1), max_total=8):
+        for mu in dfs_iter_points(p, (8,) * (p - 1), max_total=8):
             s = Semigroup(p, mu)
             assert s.is_max_embedding_dimension() == cone.strictly_contains(mu)
 
@@ -210,7 +210,7 @@ def _decomposition_generators(s):
 @pytest.mark.parametrize("p", [3, 4, 5, 6, 7])
 def test_minimal_generators_match_decomposition(p):
     # every semigroup containing p up to genus 8
-    for mu in _walk(p, (8,) * (p - 1), max_total=8):
+    for mu in dfs_iter_points(p, (8,) * (p - 1), max_total=8):
         s = Semigroup(p, mu)
         assert s.minimal_generators() == _decomposition_generators(s), mu
 

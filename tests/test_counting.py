@@ -117,10 +117,7 @@ def test_class_partition():
 
 
 def _containing_semigroups(p, q):
-    from nsg.core import Semigroup
-    from nsg.counting import _walk
-
-    return [Semigroup(p, mu) for mu in _walk(p, containment_caps(p, q))]
+    return [Semigroup(p, mu) for mu in oracles.dfs_iter_points(p, containment_caps(p, q))]
 
 
 def test_monotone_in_q():
@@ -179,15 +176,6 @@ def test_figure_counts_p3():
     assert psym[0] == 0
 
 
-def _forbid_fork(monkeypatch):
-    """Fail the test at any fork: every count runs in this process."""
-
-    def fork():
-        raise AssertionError("a count forked a process")
-
-    monkeypatch.setattr(os, "fork", fork, raising=False)
-
-
 def test_table_constructors():
     assert genus_count_series(4, 8) == [1, 1, 2, 3, 4, 5, 7, 8, 10]
     ct = {q: count_containing(3, q, "sym") for q in range(1, 15) if math.gcd(3, q) == 1}
@@ -225,8 +213,6 @@ def test_walk_matches_plain_dfs(walk, cls):
     p, caps, low, high = walk
     plain = list(oracles.dfs_iter_points(p, caps, max_total=high))
     points = [mu for mu in plain if sum(mu) >= low]
-    # list the vectors
-    assert counting._walk(p, caps, low, high) == points
     # count by sum, and in total
     series = oracles.dfs_sum_series(p, caps, high)
     assert counting._counted(p, caps, low, high, "all", False) == series[low:]
@@ -288,13 +274,10 @@ def test_walk_in_q_order_counts_as_natural_order(pq):
 
 
 def test_q_order_walk_is_refused_where_natural_order_is_needed():
-    # the reach row holds only in natural order, and listed points would be relabelled
+    # the reach row, which a count from low > 0 needs, holds only in natural order
     caps = containment_caps(7, 20)
     with pytest.raises(ValueError, match="natural order"):
-        counting._walk(7, caps, 1, sum(caps), leaf=lambda *polygon: None, r=6)
-    with pytest.raises(ValueError, match="natural order"):
-        counting._walk(7, caps, 0, sum(caps), r=6)
-    assert counting._walk(7, caps, 1, sum(caps)) == counting._walk(7, caps, 1, sum(caps), r=1)
+        counting._walk(7, caps, 1, sum(caps), lambda *polygon: None, r=6)
 
 
 @given(walks())
@@ -357,7 +340,7 @@ def test_polygon_pieces_match_points(polygon):
     columns = {}
     for x, y in points:
         columns.setdefault(x, []).append(y)
-    assert list(counting._columns(*polygon)) == [(x, ys[0], ys[-1]) for x, ys in columns.items()]
+    assert list(polygon_oracle._columns(*polygon)) == [(x, ys[0], ys[-1]) for x, ys in columns.items()]
     # the pieces cover the x with points, each with its exact bound
     pieces = counting._pieces(*polygon)
     top, bottom = {}, {}
@@ -437,16 +420,17 @@ def test_p5_genus_windows_match_closed_form(low, width):
     ]
 
 
-def test_two_workers_sum_genus_windows_elementwise(monkeypatch):
-    _forbid_fork(monkeypatch)
+def test_genus_windows_match_oracle_slices():
     slices = [list(oracles.dfs_iter_points(5, (g,) * 4, target=g)) for g in range(6, 15)]
     assert genus_window(5, 6, 14, "all") == [len(s) for s in slices]
     psym = [sum(1 for mu in s if _is_pseudo_symmetric_mu(5, mu)) for s in slices]
     assert genus_window(5, 6, 14, "psym") == psym
 
 
-@pytest.mark.parametrize("p", [3, 4, 5, 6])
+@pytest.mark.parametrize("p", [3, 4, 5, 6, 7, 8])
 def test_enumerate_walks_each_class_directly(p):
+    # 'all' and 'medim' list the hyperplane section sum(x) = g, 'sym' and
+    # 'psym' their loci, each in the oracle's order
     cone = build_cone(p)
     keep = {
         "all": lambda mu: True,
@@ -454,7 +438,7 @@ def test_enumerate_walks_each_class_directly(p):
         "sym": lambda mu: _is_symmetric_mu(p, mu),
         "psym": lambda mu: _is_pseudo_symmetric_mu(p, mu),
     }
-    for g in range(9):
+    for g in range(GENUS_MAX[p] + 1):
         points = list(oracles.dfs_iter_points(p, (g,) * (p - 1), target=g))
         for cls, test in keep.items():
             listed = enumerate_by_genus(p, g, cls)
@@ -471,7 +455,10 @@ def test_locus_walk_matches_class_filter(walk, cls):
     loci = counting._class_loci(p, cls)
     assert counting._counted(p, caps, low, high, cls, False) == by_sum
     assert counting._counted(p, caps, low, high, cls, True) == len(kept)
-    walked = [mu for locus in loci for mu in counting._locus_walk(locus, caps, low, high)]
+    walked = []
+    for locus in loci:
+        v = [0] * len(locus.rows)
+        walked += counting._points(locus.forms, counting._locus_ranges(locus, caps, low, high, v), v)
     assert sorted(walked) == kept
 
 
@@ -517,21 +504,6 @@ def test_class_totals_allocate_nothing_per_sum(cls, expected):
     assert peak < 64 * 1024
 
 
-def test_class_counts_start_no_process(monkeypatch):
-    serial = {cls: count_containing(6, 47, cls) for cls in ("sym", "psym")}
-    _forbid_fork(monkeypatch)
-    for cls in ("sym", "psym"):
-        assert count_containing(6, 47, cls) == serial[cls]
-
-
-@pytest.mark.parametrize("cls", ["all", "medim", "sym", "psym"])
-def test_forked_workers_count_as_serial(monkeypatch, cls):
-    # every class counts in this process, whatever --workers the CLI was given
-    serial = count_containing(6, 47, cls), genus_window(5, 6, 14, cls)
-    _forbid_fork(monkeypatch)
-    assert (count_containing(6, 47, cls), genus_window(5, 6, 14, cls)) == serial
-
-
 @pytest.mark.parametrize(
     "count,args",
     [
@@ -541,12 +513,19 @@ def test_forked_workers_count_as_serial(monkeypatch, cls):
             (genus_window, (3, 0, 40)),
             *((count_containing, (p, q, cls)) for p, q in ((6, 47), (7, 31)) for cls in ("sym", "psym")),
             *((genus_window, (p, 0, 20, cls)) for p in (6, 7) for cls in ("sym", "psym")),
+            *((count_containing, (6, 47, cls)) for cls in ("all", "medim")),
+            *((genus_window, (5, 6, 14, cls)) for cls in counting.CLASS_FILTERS),
         ]
     ],
 )
 def test_classes_and_p3_count_in_one_process(monkeypatch, count, args):
+    # every class counts in this process, whatever --workers the CLI was given
     serial = count(*args)
-    _forbid_fork(monkeypatch)
+
+    def fork():
+        raise AssertionError("a count forked a process")
+
+    monkeypatch.setattr(os, "fork", fork, raising=False)
     assert count(*args) == serial
 
 

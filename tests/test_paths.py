@@ -98,6 +98,41 @@ def test_lattice_path_shapes():
         LatticePath.from_heights((1, 2))
 
 
+def _traced_path(heights):
+    """The staircase of heights traced point by point: the top of every
+    column where the next one is lower is a corner, after the start and
+    before the end on the X axis."""
+    hs = list(heights)
+    while hs and hs[-1] == 0:
+        hs.pop()
+    if not hs:
+        return (), frozenset()
+    points = frozenset((a, b) for a, h in enumerate(hs) for b in range(h))
+    corners = [(0, hs[0] - 1)]
+    for a, h in enumerate(hs):
+        if (a + 1, h - 1) not in points and (a, h - 1) != corners[-1]:
+            corners.append((a, h - 1))
+    if corners[-1] != (len(hs) - 1, 0):
+        corners.append((len(hs) - 1, 0))
+    return tuple(corners), points
+
+
+@given(st.lists(st.integers(0, 6), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_from_heights_matches_the_traced_staircase(heights):
+    ordered = sorted(heights, reverse=True)
+    path = LatticePath.from_heights(ordered)
+    assert (path.corners, path.points) == _traced_path(ordered)
+    assert repr(path) == repr(LatticePath(*_traced_path(ordered)))
+    trimmed = list(heights)
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    if trimmed != ordered[: len(trimmed)]:
+        error = "interior zero column" if 0 in trimmed else "non-increasing"
+        with pytest.raises(ValueError, match=error):
+            LatticePath.from_heights(heights)
+
+
 def test_empty_path_is_admissible_and_gives_base_semigroup():
     system = PathSystem(3, 5)
     empty = LatticePath.from_heights(())
