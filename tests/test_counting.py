@@ -521,12 +521,24 @@ def test_class_totals_allocate_nothing_per_sum(cls, expected):
 def test_classes_and_p3_count_in_one_process(monkeypatch, count, args):
     # every class counts in this process, whatever --workers the CLI was given
     serial = count(*args)
+    _forbid_fork(monkeypatch)
+    assert count(*args) == serial
+
+
+def _forbid_fork(monkeypatch):
+    """Fail the test at any fork: every count runs in this process."""
 
     def fork():
         raise AssertionError("a count forked a process")
 
     monkeypatch.setattr(os, "fork", fork, raising=False)
-    assert count(*args) == serial
+
+
+def test_class_counts_start_no_process(monkeypatch):
+    serial = {cls: count_containing(6, 47, cls) for cls in ("sym", "psym")}
+    _forbid_fork(monkeypatch)
+    for cls in ("sym", "psym"):
+        assert count_containing(6, 47, cls) == serial[cls]
 
 
 def test_locus_is_a_frozen_value():
