@@ -2,8 +2,18 @@
 
 Exit codes: 0 on success, 1 when a verification-style command finds a
 mismatch, 2 on usage errors (an output path that cannot be written among
-them), 3 on an internal error.  CSV output is byte-stable so the files
-written by ``seed-tables`` can be compared verbatim with ``nsg table``.
+them), 3 on an internal error; a reader that closes stdout early ends the
+command quietly with 0.  CSV output is byte-stable so the files written by
+``seed-tables`` can be compared verbatim with ``nsg table``.
+
+``count``, ``enumerate`` and ``paths`` write their tables through one
+writer, _emit, a row at a time as the rows come, in CSV or in the bytes of
+``json.dumps(rows, indent=2)``.  ``enumerate`` reads each genus slice off
+counting.genus_points and each row's invariants off one Apéry tuple,
+through the core helpers behind the Semigroup methods, so its memory stays
+flat however many rows it lists.  Each command imports only the modules it
+runs: paths, quasi and cone's edge search load inside their commands, and
+json only for JSON output.
 """
 
 from __future__ import annotations
@@ -12,9 +22,9 @@ import argparse
 import math
 import os
 import sys
+from itertools import chain
 
-from . import counting, paths, quasi
-from .cone import edges_of_cone_star
+from . import core, counting
 from .counting import CLASS_FILTERS
 
 TABLE_NAMES = ("genus-small", "contains-p3", "contains-p4")
@@ -47,11 +57,16 @@ def _auto_or_int(text: str) -> int | None:
         raise argparse.ArgumentTypeError(f"expected auto or an integer, not {text!r}") from None
 
 
-def _write_file(path, text):
-    """Write text to path; any failure, the final flush included, is a usage error."""
+def _write(path, chunks):
+    """Write the strings of chunks, as they come, to the file path, or to
+    stdout without one; any failure to write the file, the final flush
+    included, is a usage error."""
+    if not path:
+        sys.stdout.writelines(chunks)
+        return
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as err:
         raise ValueError(f"cannot write {path}: {err.strerror or err}") from err
 
@@ -62,68 +77,94 @@ def _json_text(payload, indent=None) -> str:
     return json.dumps(payload, indent=indent) + "\n"
 
 
-def _write(args, text):
-    """Write text to --out if given, else to stdout."""
-    if args.out:
-        _write_file(args.out, text)
-    else:
-        sys.stdout.write(text)
+def _csv_lines(columns, rows):
+    """The CSV lines of a table: the header, then one line per row."""
+    yield ",".join(columns) + "\n"
+    for row in rows:
+        yield ",".join(map(str, row)) + "\n"
+
+
+def _json_lines(columns, rows):
+    """json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n",
+    an array item at a time; the columns are distinct and the values ints
+    or strings, which go through json's own C string encoder."""
+    from json.encoder import encode_basestring_ascii as quote  # only JSON output loads json
+
+    fields = ",\n".join("    " + quote(c).replace("%", "%%") + ": %s" for c in columns)
+    item = "  {\n" + fields + "\n  }"
+    start = "[\n"
+    for row in rows:
+        yield start + item % tuple([quote(v) if type(v) is str else repr(v) for v in row])
+        start = ",\n"
+    yield "[]\n" if start == "[\n" else "\n]\n"
 
 
 def _emit(args, columns, rows):
-    """Write rows as CSV (default) or JSON."""
-    if args.format == "json":
-        text = _json_text([dict(zip(columns, row)) for row in rows], indent=2)
-    else:
-        lines = [",".join(columns)]
-        lines.extend(",".join(str(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
-    _write(args, text)
+    """Write a table as CSV (default) or JSON to --out or stdout, each row
+    as rows yields it.
+
+    The output starts once the first row is known, or that there is none:
+    an error raised before it writes nothing and leaves --out unopened.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        rows = chain((first,), rows)
+    lines = _json_lines if args.format == "json" else _csv_lines
+    _write(args.out, lines(columns, rows))
 
 
 def _cmd_count(args) -> int:
     if args.workers < 1:
         raise ValueError("workers must be at least 1")
-    rows = []
     if args.genus is not None:
         genera = _parse_range(args.genus)
         counts = counting.genus_window(args.p, genera[0], genera[-1], args.cls)
-        rows = [(args.p, g, args.cls, n) for g, n in zip(genera, counts)]
+        rows = ((args.p, g, args.cls, n) for g, n in zip(genera, counts))
         columns = ("p", "genus", "class", "count")
     else:
         qs = _parse_range(args.contains)
-        explicit = qs.stop - qs.start == 1
-        for q in qs:
-            if math.gcd(args.p, q) != 1:
-                if explicit:
-                    raise counting.NotCoprime(f"gcd({args.p}, {q}) != 1")
-                continue
-            rows.append((args.p, q, args.cls, counting.count_containing(args.p, q, args.cls)))
+        if len(qs) == 1 and math.gcd(args.p, qs[0]) != 1:
+            raise counting.NotCoprime(f"gcd({args.p}, {qs[0]}) != 1")
+        rows = (
+            (args.p, q, args.cls, counting.count_containing(args.p, q, args.cls))
+            for q in qs
+            if math.gcd(args.p, q) == 1
+        )
         columns = ("p", "q", "class", "count")
     _emit(args, columns, rows)
     return 0
 
 
-def _cmd_enumerate(args) -> int:
-    rows = []
-    for g in _parse_range(args.genus):
-        for s in counting.enumerate_by_genus(args.p, g, args.cls):
-            frobenius = "" if not any(s.mu) else s.frobenius()
-            gens, multiplicity = s.minimal_generators(), s.multiplicity()
-            rows.append(
-                (
-                    s.p,
-                    ";".join(str(m) for m in s.mu),
-                    ";".join(str(v) for v in gens),
-                    s.genus(),
-                    frobenius,
-                    multiplicity,
-                    len(gens),
-                    str(s.is_symmetric()).lower(),
-                    str(s.is_pseudo_symmetric()).lower(),
-                    str(multiplicity == len(gens) == s.p).lower(),
-                )
+def _enumerate_rows(p, genera, class_filter):
+    """The rows of enumerate, one genus slice after another, in mu order.
+
+    Each row reads every invariant off one Apéry tuple (core.invariants),
+    and the class flags off its genus and Frobenius number, through the
+    helpers that the Semigroup methods call.
+    """
+    invariants, flag = core.invariants, ("false", "true")
+    symmetric, pseudo, medim = (
+        core._is_symmetric, core._is_pseudo_symmetric, core._is_max_embedding_dimension
+    )
+    for g in genera:
+        for mu in counting.genus_points(p, g, class_filter):
+            gens, genus, frobenius, multiplicity = invariants(p, mu)
+            yield (
+                p,
+                ";".join(map(str, mu)),
+                ";".join(map(str, gens)),
+                genus,
+                frobenius if genus else "",
+                multiplicity,
+                len(gens),
+                flag[symmetric(genus, frobenius)],
+                flag[pseudo(genus, frobenius)],
+                flag[medim(p, multiplicity, gens)],
             )
+
+
+def _cmd_enumerate(args) -> int:
     _emit(
         args,
         (
@@ -131,22 +172,24 @@ def _cmd_enumerate(args) -> int:
             "embedding_dimension", "symmetric", "pseudo_symmetric",
             "max_embedding_dimension",
         ),
-        rows,
+        _enumerate_rows(args.p, _parse_range(args.genus), args.cls),
     )
     return 0
 
 
 def _cmd_paths(args) -> int:
+    from . import paths
+
     if args.verify_recursions:
         q_max = args.q_max if args.q_max is not None else args.q
         report = paths.verify_path_recursions(args.p, q_max)
-        rows = [
+        rows = (
             (
                 args.p, r.q, r.new_total, r.new_symmetric, r.new_pseudo,
                 str(r.ok).lower(),
             )
             for r in report.rows
-        ]
+        )
         _emit(args, ("p", "q", "new_total", "new_symmetric", "new_pseudo", "ok"), rows)
         for r in report.rows:
             checks = {"total": r.total_ok, "symmetric": r.symmetric_ok, "pseudo": r.pseudo_ok}
@@ -180,6 +223,8 @@ def _cmd_paths(args) -> int:
 
 
 def _cmd_edges(args) -> int:
+    from .cone import edges_of_cone_star
+
     rays = edges_of_cone_star(args.p).rays
     if args.format == "json":
         sys.stdout.write(_json_text([list(r) for r in rays]))
@@ -199,6 +244,8 @@ def _fit_values(args):
 
 
 def _cmd_fit(args) -> int:
+    from . import quasi
+
     # None: the smallest divisor of the predicted period that fits
     period, degree = args.period, args.degree
     for flag, value, least in (
@@ -266,7 +313,7 @@ def _cmd_fit(args) -> int:
         flag = "constant" if report.constant else "varies"
         lines.append(f"leading: {report.coefficients[0]} ({flag})")
         text = "\n".join(lines) + "\n"
-    _write(args, text)
+    _write(args.out, (text,))
     return 0
 
 
@@ -303,10 +350,7 @@ def _table_rows(name):
 
 
 def table_text(name: str) -> str:
-    columns, rows = _table_rows(name)
-    lines = [f"# source: {name}", ",".join(columns)]
-    lines.extend(",".join(str(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return f"# source: {name}\n" + "".join(_csv_lines(*_table_rows(name)))
 
 
 def _cmd_table(args) -> int:
@@ -326,7 +370,7 @@ def _cmd_seed_tables(args) -> int:
         raise ValueError(f"cannot write {args.dir}: {err.strerror or err}") from err
     for name in TABLE_NAMES:
         target = os.path.join(args.dir, f"{name}.csv")
-        _write_file(target, table_text(name))
+        _write(target, (table_text(name),))
         print(f"wrote {target}")
     return 0
 
@@ -417,6 +461,11 @@ def main(argv=None) -> int:
             parser.error("--q and --q-max cannot be given together")
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader of stdout stopped early (`| head`): the rows stop with
+        # it, and what is still buffered goes nowhere, so that exit is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

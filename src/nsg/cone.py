@@ -22,7 +22,6 @@ double description method in integer arithmetic, for p <= 10 (MAX_EDGE_P).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from ._record import Record
@@ -50,7 +49,7 @@ class ConeModel(Record):
     __slots__ = ("p", "inequalities", "vertex")
     p: int
     inequalities: tuple[tuple[int, int, int, int], ...]
-    vertex: tuple[Fraction, ...]
+    vertex: tuple  # of fractions.Fraction
 
     @property
     def facet_count(self) -> int:
@@ -80,22 +79,30 @@ class ConeModel(Record):
 
 
 @lru_cache(maxsize=None)
-def build_cone(p: int) -> ConeModel:
-    """Inequality system, one per unordered pair (i, j) with i + j != p."""
+def inequalities(p: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The cone's inequalities (i, j, k, c), one per unordered pair (i, j)
+    with i + j != p: k = i + j and c = 0 below p, k = i + j - p and c = -1
+    above it.  The walks and the invariants read them here; only
+    build_cone adds the vertex, whose fractions no other command needs."""
     if p < 3:
         raise ValueError("p must be at least 3")
     ineqs = []
     for i in range(1, p):
         for j in range(i, p):
             s = i + j
-            if s == p:
-                continue
             if s < p:
                 ineqs.append((i, j, s, 0))
-            else:
+            elif s > p:
                 ineqs.append((i, j, s - p, -1))
-    vertex = tuple(Fraction(-i, p) for i in range(1, p))
-    return ConeModel(p, tuple(ineqs), vertex)
+    return tuple(ineqs)
+
+
+@lru_cache(maxsize=None)
+def build_cone(p: int) -> ConeModel:
+    """Inequality system, one per unordered pair (i, j) with i + j != p."""
+    from fractions import Fraction  # here: it imports decimal, which no walk needs
+
+    return ConeModel(p, inequalities(p), tuple(Fraction(-i, p) for i in range(1, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +112,7 @@ def build_cone(p: int) -> ConeModel:
 @lru_cache(maxsize=None)
 def star_inequalities(p: int) -> tuple[tuple[int, int, int], ...]:
     """Homogeneous system x_i + x_j >= x_{(i+j) mod p}, i + j != p."""
-    return tuple((i, j, k) for i, j, k, _ in build_cone(p).inequalities)
+    return tuple((i, j, k) for i, j, k, _ in inequalities(p))
 
 
 def _star_normals(p: int) -> list[tuple[int, ...]]:

@@ -10,16 +10,22 @@ semigroup completely: membership, genus (number of gaps), Frobenius number
 The vector of a generated semigroup comes from shortest paths over the
 residues, and its minimal generators from the cone inequalities it meets with
 equality.
+
+Each invariant has one implementation, a helper over the Apéry tuple (or
+the genus and Frobenius number read off it): _frobenius, _multiplicity,
+_minimal_generators with the inequalities' indices prepared once per p, and
+the class flags.  The Semigroup methods call these helpers, and invariants()
+computes them all from one Apéry tuple for the rows of ``nsg enumerate``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 
 from ._record import Record
-from .cone import build_cone
+from .cone import inequalities
 
 
 class NonCoprimeGenerators(ValueError):
@@ -55,22 +61,75 @@ def _class_minima(gens: list[int], m: int) -> list[int]:
 
 
 def _apery_elements(p: int, mu: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(i + m * p for i, m in enumerate(mu, start=1))
+    return tuple([i + m * p for i, m in enumerate(mu, start=1)])
+
+
+def _frobenius(p: int, apery: tuple[int, ...]) -> int:
+    """The largest gap, -1 for the full semigroup (whose Apéry elements are 1..p-1)."""
+    return max(apery) - p
+
+
+def _multiplicity(p: int, apery: tuple[int, ...]) -> int:
+    """The least nonzero element: p or the least Apéry element."""
+    least = min(apery)
+    return least if least < p else p
+
+
+@lru_cache(maxsize=None)
+def _index_rules(p: int):
+    """The cone inequalities as 0-based (i, j, k, c), mu_i + mu_j - mu_k >= c,
+    and the 0-based residue pairs (i, j) with i + j + 2 = p."""
+    rules = tuple((i - 1, j - 1, k - 1, c) for i, j, k, c in inequalities(p))
+    return rules, tuple((i - 1, p - i - 1) for i in range(1, p // 2 + 1))
+
+
+def _minimal_generators(p: int, mu: tuple[int, ...], apery: tuple[int, ...]) -> tuple[int, ...]:
+    """Elements of the unique minimal generating set, sorted.
+
+    An Apéry element w_k is a generator unless it is w_i + w_j, which is
+    the cone inequality (i, j, k, c) holding with equality.  p is one
+    unless it is w_i + w_{p-i} with both below p, i.e. mu_i = mu_{p-i} = 0.
+    """
+    rules, pairs = _index_rules(p)
+    sums = {k for i, j, k, c in rules if mu[i] + mu[j] - mu[k] == c}
+    gens = [w for k, w in enumerate(apery) if k not in sums]
+    for i, j in pairs:
+        if not mu[i] and not mu[j]:
+            break
+    else:
+        gens.append(p)
+    gens.sort()
+    return tuple(gens)
+
+
+# The class flags, from the genus and the Frobenius number of _frobenius: the
+# full semigroup (genus 0, Frobenius number -1) counts as symmetric, 2*0 == -1 + 1.
+def _is_symmetric(genus: int, frobenius: int) -> bool:
+    return 2 * genus == frobenius + 1
+
+
+def _is_pseudo_symmetric(genus: int, frobenius: int) -> bool:
+    return 2 * genus == frobenius + 2
+
+
+def _is_max_embedding_dimension(p: int, multiplicity: int, generators: tuple[int, ...]) -> bool:
+    return multiplicity == len(generators) == p
 
 
 def _is_symmetric_mu(p: int, mu: tuple[int, ...]) -> bool:
-    # The trivial semigroup (no gaps) counts as symmetric: 2*0 == -1 + 1.
-    if not any(mu):
-        return True
-    frobenius = max(_apery_elements(p, mu)) - p
-    return 2 * sum(mu) == frobenius + 1
+    return _is_symmetric(sum(mu), _frobenius(p, _apery_elements(p, mu)))
 
 
 def _is_pseudo_symmetric_mu(p: int, mu: tuple[int, ...]) -> bool:
-    if not any(mu):
-        return False
-    frobenius = max(_apery_elements(p, mu)) - p
-    return 2 * sum(mu) == frobenius + 2
+    return _is_pseudo_symmetric(sum(mu), _frobenius(p, _apery_elements(p, mu)))
+
+
+def invariants(p: int, mu: tuple[int, ...]):
+    """(generators, genus, frobenius, multiplicity) of the semigroup (p, mu),
+    all read off one Apéry tuple; frobenius is -1 for the full semigroup.
+    The Semigroup methods compute each of these through the same helpers."""
+    apery = _apery_elements(p, mu)
+    return _minimal_generators(p, mu, apery), sum(mu), _frobenius(p, apery), _multiplicity(p, apery)
 
 
 class Semigroup(Record):
@@ -88,7 +147,8 @@ class Semigroup(Record):
             raise ValueError(f"mu must have {self.p - 1} entries")
         if any(m < 0 for m in self.mu):
             raise ValueError("mu entries must be nonnegative")
-        if not build_cone(self.p).contains(self.mu):
+        mu = self.mu
+        if any(mu[i] + mu[j] - mu[k] < c for i, j, k, c in _index_rules(self.p)[0]):
             raise ValueError(f"mu={self.mu} violates the coordinate inequalities")
 
     @classmethod
@@ -117,7 +177,7 @@ class Semigroup(Record):
     def frobenius(self) -> int:
         if not any(self.mu):
             raise FrobeniusOfN("the full semigroup has no gaps")
-        return max(self.apery_elements()) - self.p
+        return _frobenius(self.p, self.apery_elements())
 
     def gaps(self) -> tuple[int, ...]:
         if not any(self.mu):
@@ -126,25 +186,11 @@ class Semigroup(Record):
         return tuple(n for n in range(1, f + 1) if not self.contains(n))
 
     def multiplicity(self) -> int:
-        return min(self.p, min(self.apery_elements()))
+        return _multiplicity(self.p, self.apery_elements())
 
     def minimal_generators(self) -> tuple[int, ...]:
-        """Elements of the unique minimal generating set, sorted.
-
-        An Apéry element w_k is a generator unless it is w_i + w_j, which is
-        the cone inequality (i, j, k, c) holding with equality.  p is one
-        unless it is w_i + w_{p-i} with both below p, i.e. mu_i = mu_{p-i} = 0.
-        """
-        p, mu = self.p, self.mu
-        sums = {
-            k
-            for i, j, k, c in build_cone(p).inequalities
-            if mu[i - 1] + mu[j - 1] - mu[k - 1] == c
-        }
-        gens = [w for k, w in enumerate(self.apery_elements(), 1) if k not in sums]
-        if not any(mu[i - 1] == mu[p - i - 1] == 0 for i in range(1, p)):
-            gens.append(p)
-        return tuple(sorted(gens))
+        """Elements of the unique minimal generating set, sorted (_minimal_generators)."""
+        return _minimal_generators(self.p, self.mu, self.apery_elements())
 
     def embedding_dimension(self) -> int:
         return len(self.minimal_generators())
@@ -159,7 +205,7 @@ class Semigroup(Record):
 
     def is_max_embedding_dimension(self) -> bool:
         """Embedding dimension and multiplicity both equal to p."""
-        return self.multiplicity() == self.p and self.embedding_dimension() == self.p
+        return _is_max_embedding_dimension(self.p, self.multiplicity(), self.minimal_generators())
 
 
 def from_generators(gens, p: int) -> Semigroup:

@@ -52,9 +52,12 @@ is walked the same way: the paper's staircases of <p, q> with at most h
 rows, and those new at q, lie on such faces (nsg.paths).  So is the
 hyperplane section sum(x) = g, whose points are the semigroups of genus g.
 Loci, faces and the section alike write each coordinate as an affine form in
-the walk's variables and substitute it into the cone's rows (_cone_on).  The
-counts visit no point; every listing reads its points off one of these walks
-through one decoder, _points.
+the walk's variables.  Loci and faces substitute the forms into the cone's
+rows (_cone_on); the section's rows are built once per p, with the genus in
+their constants only, and read x_n = g - (x_1 + ... + x_{n-1}) through the
+walk's prefix sum (_section_rows).  The counts visit no point; every listing
+reads its points off one of these walks through one decoder, _points, and
+genus_points hands them out one genus slice at a time.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from itertools import accumulate
 
 from . import core
 from ._record import Record
-from .cone import build_cone
+from .cone import inequalities
 
 CLASS_FILTERS = ("all", "sym", "psym", "medim")
 
@@ -169,7 +172,7 @@ def _cone_rows(p: int, r: int = 1):
     tails = [[[] for _ in range(6)] for _ in range(2)]
     up, down = [(i, 1) for i in range(p)], [(i, -1) for i in range(p)]  # shared terms
     inverse = pow(r, -1, p)
-    for i, j, k, c in build_cone(p).inequalities:
+    for i, j, k, c in inequalities(p):
         i, j = sorted((i * inverse % p, j * inverse % p))
         k = k * inverse % p
         d = max(i, j, k)
@@ -531,9 +534,9 @@ def _cone_on(p, forms, size, extra):
     """The rows of the cone, x >= 0 and the extra (signs, b) rows over the size
     variables of forms, filed for _walk_rows; None if a constant row fails."""
     rows = [[] for _ in range(size)]
-    inequalities = [([(c, 1)], 0) for c in range(1, p)]  # x_c >= 0
-    inequalities += [([(i, 1), (j, 1), (l, -1)], -c) for i, j, l, c in build_cone(p).inequalities]
-    for signs, b in inequalities + extra:
+    rules = [([(c, 1)], 0) for c in range(1, p)]  # x_c >= 0
+    rules += [([(i, 1), (j, 1), (l, -1)], -c) for i, j, l, c in inequalities(p)]
+    for signs, b in rules + extra:
         d, row = _substitute(forms, signs, b)
         if d is not None:
             rows[d].append(row)
@@ -545,10 +548,11 @@ def _cone_on(p, forms, size, extra):
 def _points(forms, ranges, v):
     """Yield the point x, x_c = sum(a * v_i for i, a in terms) + b for
     (terms, b) = forms[c - 1], at each value of the last variable in each
-    range (lo, hi) of _walk_rows over v, which holds the walk's variables and
-    nothing more.  The prefix is read once per range; each further value adds
-    the last variable's coefficients."""
-    last = len(v) - 1
+    range (lo, hi) of _walk_rows over v.  The last variable is the greatest
+    index the forms use; v may hold the prefix sum of _walk_rows past it.
+    The prefix is read once per range; each further value adds the last
+    variable's coefficients."""
+    last = max(i for terms, _ in forms for i, _ in terms)
     steps = [(c, a) for c, (terms, _) in enumerate(forms) for i, a in terms if i == last]
     for lo, hi in ranges:
         v[last] = lo
@@ -560,18 +564,63 @@ def _points(forms, ranges, v):
         yield tuple(x)
 
 
+@lru_cache(maxsize=None)
+def _section_rows(p):
+    """The rows of the hyperplane section sum(x) = g for _walk_rows, whatever
+    g, as (fixed, moving) per level: moving holds (head, terms, b, a) for the
+    row (head, terms, b + a * g), and fixed the rows without g.
+
+    The walk's variables v_0..v_{k-1} (k = p - 2) are x_1..x_{n-1}, and
+    v_k holds the prefix sum, so x_n = g - v_k - v_d at the level of v_d.
+    A cone row without x_n is filed as _cone_rows files it, its terms shared.
+    One with x_n (sigma = minus its sign there) gives every variable sigma,
+    so it is filed under the last variable whose coefficient does not
+    vanish, and the variables before it enter as sigma v_k plus a term each
+    for the row's own coordinates; no row is constant.  Each x_d,
+    d < n - 1, is bounded by _walk's least-completion row, which implies
+    x_1 + ... + x_d <= g, and x_{n-1} by x_n >= 0; the caps (g, ..., g)
+    follow from x >= 0.
+    """
+    n, k = p - 1, p - 2
+    fixed, moving = [[] for _ in range(k)], [[] for _ in range(k)]
+    up, down = [(m, 1) for m in range(k)], [(m, -1) for m in range(k)]  # shared terms
+    for i, j, l, c in inequalities(p):
+        if n not in (j, l):  # i <= j, and l differs from both
+            i, j, l = i - 1, j - 1, l - 1
+            if l > j:
+                fixed[l].append((-1, (up[i], up[j]) if i < j else ((i, 2),), -c))
+            elif i == j:
+                fixed[j].append((2, (down[l],), -c))
+            else:
+                fixed[j].append((1, (up[i], down[l]), -c))
+            continue
+        coefs, sigma = {}, 0  # the row's terms but those of x_n, and their common coefficient
+        for index, sign in ((i, 1), (j, 1), (l, -1)):
+            if index == n:
+                sigma -= sign
+            else:
+                coefs[index - 1] = coefs.get(index - 1, 0) + sign
+        d = k - 1
+        while coefs.get(d) == -sigma:
+            d -= 1
+        terms = ((k, sigma),) + tuple((m, a) for m, a in sorted(coefs.items()) if m < d)
+        moving[d].append((sigma + coefs.get(d, 0), terms, -c, -sigma))
+    moving[k - 1].append((-1, ((k, -1),), 0, 1))  # x_n >= 0
+    for d in range(1, k):  # least completion of x_d = v_{d-1}, whose prefix sum is v_k
+        moving[d - 1].append((d - p - 1, ((k, -2),), k + 1 - d, 2))
+    return tuple(zip(map(tuple, fixed), map(tuple, moving)))
+
+
 def _section_points(p, genus):
     """The points of the hyperplane section sum(x) = genus of the cone, in
-    lexicographic order: x_1..x_{n-1} (n = p - 1) are walked, and
-    x_n = genus - (x_1 + ... + x_{n-1}).  Each x_d, d < n - 1, is bounded by
-    _walk's least-completion row, which implies x_1 + ... + x_d <= genus, and
-    x_{n-1} by x_n >= 0; the caps (genus, ..., genus) follow from x >= 0."""
-    k = p - 2  # the walk's variables, x_1..x_{n-1}
+    lexicographic order: x_1..x_{n-1} (n = p - 1) are walked under
+    _section_rows, and x_n = genus - (x_1 + ... + x_{n-1})."""
+    k = p - 2
+    rows = [fixed + tuple([(head, terms, b + a * genus) for head, terms, b, a in moving])
+            for fixed, moving in _section_rows(p)]
     forms = [(((c, 1),), 0) for c in range(k)] + [(tuple((c, -1) for c in range(k)), genus)]
-    completions = [([(c, -2) for c in range(1, d)] + [(d, d - p - 1)], 2 * genus + k + 1 - d)
-                   for d in range(1, k)]
-    v = [0] * k  # no row of the section is constant, so _cone_on returns rows
-    return _points(forms, _walk_rows(_cone_on(p, forms, k, completions), v), v)
+    v = [0] * (k + 1)
+    return _points(forms, _walk_rows(rows, v, k), v)
 
 
 def _face_ranges(p, caps, free, v, total=None):
@@ -692,22 +741,29 @@ def _counted(p, caps, low, high, class_filter, total=False, r=1):
     return counts
 
 
-def enumerate_by_genus(p: int, genus: int, class_filter: str = "all"):
-    """All semigroups containing p with the given genus, in mu order."""
+def genus_points(p: int, genus: int, class_filter: str = "all"):
+    """The mu of every semigroup containing p with the given genus, in mu
+    order, as an iterator.  The arguments are checked at the call.  'all'
+    and 'medim' walk the hyperplane section one point at a time; 'sym' and
+    'psym' gather the points of their loci, a small slice, and sort them."""
     _check_args(p, class_filter)
     if genus < 0:
         raise ValueError("genus must be nonnegative")
     if class_filter == "all":
-        mus = _section_points(p, genus)
-    elif class_filter == "medim":  # the shift adds 1 to each coordinate and p - 1 to the genus
-        mus = (tuple(x + 1 for x in mu) for mu in _section_points(p, genus - p + 1))
-    else:
-        mus, caps = [], (genus,) * (p - 1)
-        for locus in _class_loci(p, class_filter):
-            v = [0] * len(locus.rows)
-            mus += _points(locus.forms, _locus_ranges(locus, caps, genus, genus, v), v)
-        mus.sort()
-    return [core.Semigroup._trusted(p, mu) for mu in mus]
+        return _section_points(p, genus)
+    if class_filter == "medim":  # the shift adds 1 to each coordinate and p - 1 to the genus
+        return (tuple(x + 1 for x in mu) for mu in _section_points(p, genus - p + 1))
+    mus, caps = [], (genus,) * (p - 1)
+    for locus in _class_loci(p, class_filter):
+        v = [0] * len(locus.rows)
+        mus += _points(locus.forms, _locus_ranges(locus, caps, genus, genus, v), v)
+    mus.sort()
+    return iter(mus)
+
+
+def enumerate_by_genus(p: int, genus: int, class_filter: str = "all"):
+    """All semigroups containing p with the given genus, in mu order (genus_points)."""
+    return [core.Semigroup._trusted(p, mu) for mu in genus_points(p, genus, class_filter)]
 
 
 def genus_window(p: int, low: int, high: int, class_filter: str = "all") -> list[int]:

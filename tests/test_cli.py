@@ -1,9 +1,14 @@
+import argparse
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nsg
 from nsg import cli, paths
@@ -73,6 +78,101 @@ def test_enumerate_trivial_semigroup(capsys):
     fields = out.strip().splitlines()[1].split(",")
     assert fields[1] == "0;0"
     assert fields[4] == ""  # no largest gap to report
+
+
+# Cells with what JSON and CSV must carry verbatim: non-ASCII, quotes,
+# backslashes, control characters, and % for the row template.
+_TEXT = st.text(st.one_of(st.sampled_from('"\\%,;\n\t\x00\x1f\x7fé€😀'), st.characters()))
+
+
+@st.composite
+def _tables(draw):
+    columns = draw(st.lists(_TEXT, min_size=1, max_size=5, unique=True))
+    cell = st.one_of(st.integers(), _TEXT)
+    return columns, draw(st.lists(st.tuples(*[cell] * len(columns)), max_size=6))
+
+
+@given(_tables(), st.sampled_from(("csv", "json")))
+@settings(max_examples=200, deadline=None)
+def test_streaming_writer_matches_whole_table_output(table, fmt):
+    # The writer's bytes are those of the whole table written at once:
+    # json.dumps of the row dicts, or the CSV lines joined (the header
+    # alone, or [], for no rows).
+    columns, rows = table
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._emit(argparse.Namespace(format=fmt, out=None), columns, iter(rows))
+    if fmt == "json":
+        expected = json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
+    else:
+        lines = [",".join(columns)] + [",".join(str(v) for v in row) for row in rows]
+        expected = "\n".join(lines) + "\n"
+    assert out.getvalue() == expected
+
+
+def test_enumerate_writes_each_row_before_the_next_point(monkeypatch):
+    out, section, written = io.StringIO(), cli.counting._section_points, []
+
+    def watched(p, genus):
+        for mu in section(p, genus):
+            written.append(out.getvalue().count("\n"))  # lines out before this point
+            yield mu
+
+    monkeypatch.setattr(cli.counting, "_section_points", watched)
+    with redirect_stdout(out):
+        assert cli.main(["enumerate", "--p", "6", "--genus", "20..21"]) == 0
+    # The header goes out with the first row, and each row before the next
+    # point is walked.
+    assert len(written) == out.getvalue().count("\n") - 1 > 100
+    assert written == [0] + list(range(2, len(written) + 1))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--genus=-1..2",), "genus must be nonnegative"),
+        (("--genus", "3", "--p", "2"), "p must be at least 3"),
+        (("--genus", "3", "--out", "{out}"), "cannot write {out}: No such file or directory"),
+    ],
+    ids=["negative-genus", "p2", "unwritable-out"],
+)
+def test_enumerate_fails_before_any_output(tmp_path, capsys, argv, message):
+    target = str(tmp_path / "missing" / "x.csv")
+    argv = [arg.format(out=target) for arg in ("enumerate", "--p", "6", *argv)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message.format(out=target)}\n")
+
+
+def test_reader_that_stops_early_ends_the_walk_quietly(tmp_path):
+    # `nsg enumerate --p 6 --genus 60..62 | head -1`: the reader gets the
+    # header and closes the pipe; the walk stops there (49,605 points in
+    # all), with nothing on stderr and exit 0.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nsg.__file__)))
+    walked = tmp_path / "walked"
+    script = (
+        "import atexit, sys\n"
+        "from nsg import cli, counting\n"
+        "section, walked = counting._section_points, [0]\n"
+        "def counted(p, genus):\n"
+        "    for mu in section(p, genus):\n"
+        "        walked[0] += 1\n"
+        "        yield mu\n"
+        "counting._section_points = counted\n"
+        f"atexit.register(lambda: open({str(walked)!r}, 'w').write(str(walked[0])))\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, "enumerate", "--p", "6", "--genus", "60..62"],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"p,mu,generators,")
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert 0 < int(walked.read_text()) < 49605 // 2
 
 
 def test_edges_output(capsys):
@@ -465,6 +565,12 @@ _HEAVY = (
     "multiprocessing", "concurrent.futures", "signal", "dataclasses", "inspect", "json",
     "nsg.closed_forms",
 )
+# What only one command may load: fit its fractions (with decimal and
+# numbers) and the fit itself, paths the staircases.
+_ONLY = {
+    "fit": ("fractions", "decimal", "numbers", "nsg.quasi"),
+    "paths": ("nsg.paths",),
+}
 
 
 @pytest.mark.parametrize(
@@ -486,11 +592,13 @@ _HEAVY = (
 def test_import_leaves_modules_out(argv):
     # One fresh interpreter per case: the import graph of the command alone.
     src = os.path.dirname(os.path.dirname(os.path.abspath(nsg.__file__)))
+    command = argv[0] if argv else None
+    banned = _HEAVY + tuple(m for cmd, mods in _ONLY.items() if cmd != command for m in mods)
     script = (
         "import sys\n"
         "from nsg import cli\n"
         "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        f"print(code, [m for m in {_HEAVY!r} if m in sys.modules])\n"
+        f"print(code, [m for m in {banned!r} if m in sys.modules])\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv],

@@ -18,7 +18,7 @@ from nsg import (
     enumerate_by_genus,
     genus_count_series,
 )
-from nsg import closed_forms, counting
+from nsg import cli, closed_forms, counting
 from nsg.cone import build_cone
 from nsg.core import Semigroup, _is_pseudo_symmetric_mu, _is_symmetric_mu
 from nsg.counting import containment_caps, genus_window
@@ -427,10 +427,55 @@ def test_genus_windows_match_oracle_slices():
     assert genus_window(5, 6, 14, "psym") == psym
 
 
+def _flag(value):
+    return str(value).lower()
+
+
+def _row_of_methods(s):
+    """The `nsg enumerate` row of s from the Semigroup methods, one call each."""
+    gens = s.minimal_generators()
+    return (
+        s.p, ";".join(str(m) for m in s.mu), ";".join(str(v) for v in gens), s.genus(),
+        s.frobenius() if any(s.mu) else "", s.multiplicity(), s.embedding_dimension(),
+        _flag(s.is_symmetric()), _flag(s.is_pseudo_symmetric()),
+        _flag(s.is_max_embedding_dimension()),
+    )
+
+
+def _row_by_definition(p, mu):
+    """The `nsg enumerate` row of (p, mu) from its members alone.
+
+    Every minimal generator and gap lies below max(w) + p for the Apéry
+    elements w.  The generators are the nonzero members that are no sum of
+    two nonzero members (a bit set of the sums), they give the gaps again
+    through oracles.sieve_gaps, and the classes are tested by definition.
+    """
+    w = [i + m * p for i, m in enumerate(mu, start=1)]
+    bound = max(w) + p
+    member = [n % p == 0 or n >= w[n % p - 1] for n in range(bound + 1)]
+    nonzero = [n for n in range(1, bound + 1) if member[n]]
+    sums, bits = 0, sum(1 << n for n in nonzero)
+    for a in nonzero:
+        sums |= bits << a
+    gens = [n for n in nonzero if not sums >> n & 1]
+    gaps = [n for n in range(bound + 1) if not member[n]]
+    assert oracles.sieve_gaps(gens) == gaps
+    f = gaps[-1] if gaps else -1
+    mirrored = [member[x] != member[f - x] for x in range(f + 1)]
+    return (
+        p, ";".join(map(str, mu)), ";".join(map(str, gens)), len(gaps), f if gaps else "",
+        nonzero[0], len(gens), _flag(all(mirrored)),
+        _flag(f % 2 == 0 and not member[f // 2] and mirrored.count(False) == 1),
+        _flag(nonzero[0] == len(gens) == p),
+    )
+
+
 @pytest.mark.parametrize("p", [3, 4, 5, 6, 7, 8])
 def test_enumerate_walks_each_class_directly(p):
     # 'all' and 'medim' list the hyperplane section sum(x) = g, 'sym' and
-    # 'psym' their loci, each in the oracle's order
+    # 'psym' their loci, each in the oracle's order; the rows of `nsg
+    # enumerate` (one pass per point) hold what the Semigroup methods and
+    # the definitions give
     cone = build_cone(p)
     keep = {
         "all": lambda mu: True,
@@ -440,10 +485,14 @@ def test_enumerate_walks_each_class_directly(p):
     }
     for g in range(GENUS_MAX[p] + 1):
         points = list(oracles.dfs_iter_points(p, (g,) * (p - 1), target=g))
+        by_definition = {mu: _row_by_definition(p, mu) for mu in points}
         for cls, test in keep.items():
             listed = enumerate_by_genus(p, g, cls)
             assert [s.mu for s in listed] == [mu for mu in points if test(mu)]
             assert listed == [Semigroup(p, s.mu) for s in listed]
+            rows = list(cli._enumerate_rows(p, [g], cls))
+            assert rows == [_row_of_methods(s) for s in listed]
+            assert rows == [by_definition[s.mu] for s in listed]
 
 
 @given(walks(), st.sampled_from(("sym", "psym")))
