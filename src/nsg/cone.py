@@ -82,8 +82,9 @@ class ConeModel(Record):
 def inequalities(p: int) -> tuple[tuple[int, int, int, int], ...]:
     """The cone's inequalities (i, j, k, c), one per unordered pair (i, j)
     with i + j != p: k = i + j and c = 0 below p, k = i + j - p and c = -1
-    above it.  The walks and the invariants read them here; only
-    build_cone adds the vertex, whose fractions no other command needs."""
+    above it: the one table of them, which core (mu's check, the generators),
+    counting (_cone_rows, _section_rows, _cone_on) and _star_normals read;
+    only build_cone adds the vertex, whose fractions no other command needs."""
     if p < 3:
         raise ValueError("p must be at least 3")
     ineqs = []
@@ -109,15 +110,10 @@ def build_cone(p: int) -> ConeModel:
 # Recession cone (vertex moved to the origin) and its edges.
 
 
-@lru_cache(maxsize=None)
-def star_inequalities(p: int) -> tuple[tuple[int, int, int], ...]:
-    """Homogeneous system x_i + x_j >= x_{(i+j) mod p}, i + j != p."""
-    return tuple((i, j, k) for i, j, k, _ in inequalities(p))
-
-
 def _star_normals(p: int) -> list[tuple[int, ...]]:
+    """Normals of x_i + x_j >= x_{(i+j) mod p}: the cone's inequalities without c."""
     normals = []
-    for i, j, k in star_inequalities(p):
+    for i, j, k, _ in inequalities(p):
         v = [0] * (p - 1)
         v[i - 1] += 1
         v[j - 1] += 1

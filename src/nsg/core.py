@@ -13,16 +13,18 @@ equality.
 
 Each invariant has one implementation, a helper over the Apéry tuple (or
 the genus and Frobenius number read off it): _frobenius, _multiplicity,
-_minimal_generators with the inequalities' indices prepared once per p, and
-the class flags.  The Semigroup methods call these helpers, and invariants()
-computes them all from one Apéry tuple for the rows of ``nsg enumerate``.
+_minimal_generators, which reads cone.inequalities over mu padded to
+(0, *mu) so that their 1-based indices apply, and the class flags.  The
+Semigroup methods call these helpers, and invariants() computes them all
+from one Apéry tuple for the rows of ``nsg enumerate``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from functools import lru_cache, reduce
+import operator
+from functools import reduce
 
 from ._record import Record
 from .cone import inequalities
@@ -75,12 +77,12 @@ def _multiplicity(p: int, apery: tuple[int, ...]) -> int:
     return least if least < p else p
 
 
-@lru_cache(maxsize=None)
-def _index_rules(p: int):
-    """The cone inequalities as 0-based (i, j, k, c), mu_i + mu_j - mu_k >= c,
-    and the 0-based residue pairs (i, j) with i + j + 2 = p."""
-    rules = tuple((i - 1, j - 1, k - 1, c) for i, j, k, c in inequalities(p))
-    return rules, tuple((i - 1, p - i - 1) for i in range(1, p // 2 + 1))
+def _integer(value) -> int:
+    """value as an int if it is one (an int, a bool, a numpy integer), not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"expected an integer, got {value!r}") from None
 
 
 def _minimal_generators(p: int, mu: tuple[int, ...], apery: tuple[int, ...]) -> tuple[int, ...]:
@@ -90,11 +92,11 @@ def _minimal_generators(p: int, mu: tuple[int, ...], apery: tuple[int, ...]) -> 
     the cone inequality (i, j, k, c) holding with equality.  p is one
     unless it is w_i + w_{p-i} with both below p, i.e. mu_i = mu_{p-i} = 0.
     """
-    rules, pairs = _index_rules(p)
-    sums = {k for i, j, k, c in rules if mu[i] + mu[j] - mu[k] == c}
-    gens = [w for k, w in enumerate(apery) if k not in sums]
-    for i, j in pairs:
-        if not mu[i] and not mu[j]:
+    x = (0, *mu)  # x[i] = mu_i
+    sums = {k for i, j, k, c in inequalities(p) if x[i] + x[j] - x[k] == c}
+    gens = [w for k, w in enumerate(apery, start=1) if k not in sums]
+    for i in range(1, p // 2 + 1):
+        if not x[i] and not x[p - i]:
             break
     else:
         gens.append(p)
@@ -140,16 +142,18 @@ class Semigroup(Record):
     mu: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", tuple(int(m) for m in self.mu))
-        if self.p < 3:
+        p, mu = _integer(self.p), tuple(map(_integer, self.mu))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "mu", mu)
+        if p < 3:
             raise ValueError("p must be at least 3")
-        if len(self.mu) != self.p - 1:
-            raise ValueError(f"mu must have {self.p - 1} entries")
-        if any(m < 0 for m in self.mu):
+        if len(mu) != p - 1:
+            raise ValueError(f"mu must have {p - 1} entries")
+        if any(m < 0 for m in mu):
             raise ValueError("mu entries must be nonnegative")
-        mu = self.mu
-        if any(mu[i] + mu[j] - mu[k] < c for i, j, k, c in _index_rules(self.p)[0]):
-            raise ValueError(f"mu={self.mu} violates the coordinate inequalities")
+        x = (0, *mu)  # x[i] = mu_i
+        if any(x[i] + x[j] - x[k] < c for i, j, k, c in inequalities(p)):
+            raise ValueError(f"mu={mu} violates the coordinate inequalities")
 
     @classmethod
     def _trusted(cls, p: int, mu: tuple[int, ...]) -> "Semigroup":
@@ -215,12 +219,12 @@ def from_generators(gens, p: int) -> Semigroup:
     an element of the generated semigroup.  The class minima modulo the
     least generator decide whether p is; those modulo p give mu.
     """
-    gen_list = sorted({int(g) for g in gens})
+    gen_list = sorted({_integer(g) for g in gens})
     if not gen_list or gen_list[0] <= 0:
         raise ValueError("generators must be positive integers")
     if reduce(math.gcd, gen_list) != 1:
         raise NonCoprimeGenerators(f"gcd of {gen_list} is not 1")
-    p = int(p)
+    p = _integer(p)
     if p < 3:
         raise ValueError("p must be at least 3")
     if p < _class_minima(gen_list, gen_list[0])[p % gen_list[0]]:

@@ -53,9 +53,10 @@ rows, and those new at q, lie on such faces (nsg.paths).  So is the
 hyperplane section sum(x) = g, whose points are the semigroups of genus g.
 Loci, faces and the section alike write each coordinate as an affine form in
 the walk's variables.  Loci and faces substitute the forms into the cone's
-rows (_cone_on); the section's rows are built once per p, with the genus in
-their constants only, and read x_n = g - (x_1 + ... + x_{n-1}) through the
-walk's prefix sum (_section_rows).  The counts visit no point; every listing
+rows (_cone_on).  The section is walked in _walk's variables under the
+levels of _cone_rows and the O(p) rows that hold x_n = g - (x_1 + ... +
+x_{n-1}), read through the walk's prefix sum with the genus in their
+constants only (_section_rows).  The counts visit no point; every listing
 reads its points off one of these walks through one decoder, _points, and
 genus_points hands them out one genus slice at a time.
 """
@@ -159,7 +160,8 @@ def _cone_rows(p: int, r: int = 1):
     i + j = k mod p still holds, and only their constants move.  r = 1 is
     the natural order.
 
-    levels[d], for d = 0..n-2, holds the rows of x_d for _walk_rows; the
+    levels[d], for d = 0..n-1, holds the rows whose last coordinate is x_d
+    for _walk_rows (_walk walks n - 1 levels, _section_points all n); the
     one row of x_0 pins it to 0, so that x_0 stands in for x_{n-2} when
     p = 3.  tails holds the rules of x_{n-1} and of x_n, each sorted by how
     the variable e just before it enters (the rules are read with e = 0):
@@ -168,24 +170,25 @@ def _cone_rows(p: int, r: int = 1):
       singles (k, c):    2 x_d >= x_k + c
     """
     n = p - 1
-    levels = [[(-1, (), 0)]] + [[] for _ in range(n - 2)]
+    levels = [[(-1, (), 0)]] + [[] for _ in range(n - 1)]
     tails = [[[] for _ in range(6)] for _ in range(2)]
     up, down = [(i, 1) for i in range(p)], [(i, -1) for i in range(p)]  # shared terms
     inverse = pow(r, -1, p)
+    label = [t * inverse % p for t in range(p)]  # the walk coordinate of each residue
     for i, j, k, c in inequalities(p):
-        i, j = sorted((i * inverse % p, j * inverse % p))
-        k = k * inverse % p
-        d = max(i, j, k)
-        e = d - 1
-        if k == d:
-            row, rule, kind = (-1, (up[i], up[j]), -c), (i, j, c), (i == e) + (j == e)
+        i, j, k = label[i], label[j], label[k]
+        if i > j:
+            i, j = j, i
+        if k > j:
+            d, row, kind = k, (-1, (up[i], up[j]), -c), (i == k - 1) + (j == k - 1)
         elif i == j:
-            row, rule, kind = (2, (down[k],), -c), (k, c), 5
+            d, row, kind = j, (2, (down[k],), -c), 5
         else:
-            row, rule, kind = (1, (up[i], down[k]), -c), (i, k, c), 3 + (i == e)
-        if d < n - 1:
+            d, row, kind = j, (1, (up[i], down[k]), -c), 3 + (i == j - 1)
+        if d < n:
             levels[d].append(row)
-        else:
+        if d >= n - 1:  # an upper, a lower or a single rule, by kind
+            rule = (i, j, c) if kind < 3 else (i, k, c) if kind < 5 else (k, c)
             tails[d - n + 1][kind].append(rule)
     return tuple(map(tuple, levels)), tuple(tuple(map(tuple, rules)) for rules in tails)
 
@@ -222,7 +225,7 @@ def _walk(p, caps, low, high, leaf, r=1):
     sum_at = n + 1  # mu[sum_at] holds the sum of the fixed prefix
     caps = [caps[t * r % p - 1] for t in range(1, p)]
     levels, (x_rules, y_rules) = _cone_rows(p, r)
-    levels = [list(level) for level in levels]
+    levels = [list(level) for level in levels[:m]]
     for d in range(1, m):
         # Least completion: with s = n - d, the pairs (d + j, n + 1 - j),
         # j = 1..s // 2, each sum to d + p, so the cone's rows give
@@ -566,61 +569,57 @@ def _points(forms, ranges, v):
 
 @lru_cache(maxsize=None)
 def _section_rows(p):
-    """The rows of the hyperplane section sum(x) = g for _walk_rows, whatever
-    g, as (fixed, moving) per level: moving holds (head, terms, b, a) for the
-    row (head, terms, b + a * g), and fixed the rows without g.
+    """The rows of the hyperplane section sum(x) = g that hold x_n, whatever
+    g, per level of _cone_rows(p): (head, terms, b, a) for the row
+    (head, terms, b + a * g).
 
-    The walk's variables v_0..v_{k-1} (k = p - 2) are x_1..x_{n-1}, and
-    v_k holds the prefix sum, so x_n = g - v_k - v_d at the level of v_d.
-    A cone row without x_n is filed as _cone_rows files it, its terms shared.
-    One with x_n (sigma = minus its sign there) gives every variable sigma,
-    so it is filed under the last variable whose coefficient does not
-    vanish, and the variables before it enter as sigma v_k plus a term each
-    for the row's own coordinates; no row is constant.  Each x_d,
-    d < n - 1, is bounded by _walk's least-completion row, which implies
-    x_1 + ... + x_d <= g, and x_{n-1} by x_n >= 0; the caps (g, ..., g)
-    follow from x >= 0.
+    The section is walked in _walk's variables, x_0 = 0 and x_1..x_{n-1}
+    (n = p - 1), and index n + 1 (sum_at) holds the prefix sum
+    x_0 + ... + x_{d-1} while x_d is fixed.  The rows without x_n are
+    _cone_rows(p)'s levels, and those with x_n its rules of x_n.  A rule
+    (sigma = minus the sign of x_n in it) reads x_n = g - (x_1 + ... +
+    x_{n-1}), so it gives every variable sigma: it is filed under the last
+    variable whose coefficient does not vanish, and the variables before it
+    enter as sigma times the prefix sum plus a term each for the rule's own
+    coordinates; no row is constant.  x_{n-1} is bounded by x_n >= 0, and
+    each x_d, 0 < d < n - 1, by _walk's least-completion row at high = g,
+    which implies x_1 + ... + x_d <= g; the caps (g, ..., g) follow from
+    x >= 0.
     """
-    n, k = p - 1, p - 2
-    fixed, moving = [[] for _ in range(k)], [[] for _ in range(k)]
-    up, down = [(m, 1) for m in range(k)], [(m, -1) for m in range(k)]  # shared terms
-    for i, j, l, c in inequalities(p):
-        if n not in (j, l):  # i <= j, and l differs from both
-            i, j, l = i - 1, j - 1, l - 1
-            if l > j:
-                fixed[l].append((-1, (up[i], up[j]) if i < j else ((i, 2),), -c))
-            elif i == j:
-                fixed[j].append((2, (down[l],), -c))
-            else:
-                fixed[j].append((1, (up[i], down[l]), -c))
-            continue
-        coefs, sigma = {}, 0  # the row's terms but those of x_n, and their common coefficient
-        for index, sign in ((i, 1), (j, 1), (l, -1)):
-            if index == n:
-                sigma -= sign
-            else:
-                coefs[index - 1] = coefs.get(index - 1, 0) + sign
-        d = k - 1
+    n, sum_at = p - 1, p
+    up0, up1, up2, flat, falling, singles = _cone_rows(p)[1][1]
+    rules = [(((i, 1), (j, 1)), 1, c) for i, j, c in up0 + up1 + up2]  # x_n <= x_i + x_j - c
+    rules += [(((i, 1), (k, -1)), -1, c) for i, k, c in flat + falling]  # x_n >= x_k + c - x_i
+    rules += [(((k, -1),), -2, c) for k, c in singles]  # 2 x_n >= x_k + c
+    rows = [[] for _ in range(n)]
+    for signs, sigma, c in rules:
+        coefs = {}  # the rule's coefficients but that of x_n
+        for index, sign in signs:
+            coefs[index] = coefs.get(index, 0) + sign
+        d = n - 1
         while coefs.get(d) == -sigma:
             d -= 1
-        terms = ((k, sigma),) + tuple((m, a) for m, a in sorted(coefs.items()) if m < d)
-        moving[d].append((sigma + coefs.get(d, 0), terms, -c, -sigma))
-    moving[k - 1].append((-1, ((k, -1),), 0, 1))  # x_n >= 0
-    for d in range(1, k):  # least completion of x_d = v_{d-1}, whose prefix sum is v_k
-        moving[d - 1].append((d - p - 1, ((k, -2),), k + 1 - d, 2))
-    return tuple(zip(map(tuple, fixed), map(tuple, moving)))
+        terms = ((sum_at, sigma),) + tuple((m, a) for m, a in sorted(coefs.items()) if m < d)
+        rows[d].append((sigma + coefs.get(d, 0), terms, -c, -sigma))
+    rows[n - 1].append((-1, ((sum_at, -1),), 0, 1))  # x_n >= 0
+    for d in range(1, n - 1):  # _walk's least-completion row, 2 high read as 2 g
+        s = n - d
+        rows[d].append((-(s + 2), ((sum_at, -2),), s, 2))
+    return tuple(map(tuple, rows))
 
 
 def _section_points(p, genus):
     """The points of the hyperplane section sum(x) = genus of the cone, in
-    lexicographic order: x_1..x_{n-1} (n = p - 1) are walked under
-    _section_rows, and x_n = genus - (x_1 + ... + x_{n-1})."""
-    k = p - 2
-    rows = [fixed + tuple([(head, terms, b + a * genus) for head, terms, b, a in moving])
-            for fixed, moving in _section_rows(p)]
-    forms = [(((c, 1),), 0) for c in range(k)] + [(tuple((c, -1) for c in range(k)), genus)]
-    v = [0] * (k + 1)
-    return _points(forms, _walk_rows(rows, v, k), v)
+    lexicographic order: x_1..x_{n-1} (n = p - 1) are walked under the
+    levels of _cone_rows(p) and _section_rows, and x_n = genus - (x_1 + ... +
+    x_{n-1})."""
+    n = p - 1
+    levels, _ = _cone_rows(p)
+    rows = [level + tuple([(head, terms, b + a * genus) for head, terms, b, a in moving])
+            for level, moving in zip(levels, _section_rows(p))]
+    forms = [(((c, 1),), 0) for c in range(1, n)] + [(tuple((c, -1) for c in range(1, n)), genus)]
+    v = [0] * (n + 2)
+    return _points(forms, _walk_rows(rows, v, n + 1), v)
 
 
 def _face_ranges(p, caps, free, v, total=None):
@@ -784,7 +783,7 @@ def count_by_genus(p: int, genus: int, class_filter: str = "all") -> int:
 
 
 def genus_count_series(p: int, g_max: int, class_filter: str = "all") -> list[int]:
-    """Counts for every genus 0..g_max in one pass over the search tree."""
+    """Counts for every genus 0..g_max: genus_window(p, 0, g_max)."""
     _check_args(p, class_filter)
     if g_max < 0:
         raise ValueError("g_max must be nonnegative")

@@ -14,7 +14,7 @@ from nsg import (
     edges_of_cone_star,
 )
 from nsg import counting
-from nsg.cone import star_inequalities
+from nsg.cone import inequalities
 from oracles import (
     dfs_iter_points,
     interior_shift_check,
@@ -116,7 +116,7 @@ def test_edges_are_primitive_boundary_rays(p):
     import math
 
     edges = edges_of_cone_star(p)
-    ineqs = star_inequalities(p)
+    ineqs = [(i, j, k) for i, j, k, _ in inequalities(p)]
     for ray in edges.rays:
         assert math.gcd(*ray) == 1
         values = [_star_value(p, ray, ineq) for ineq in ineqs]
@@ -136,7 +136,7 @@ def test_edges_are_primitive_boundary_rays(p):
 @pytest.mark.parametrize("p", [3, 4, 5, 6, 7])
 def test_nonnegative_ray_combinations_stay_in_star_cone(p):
     edges = edges_of_cone_star(p)
-    ineqs = star_inequalities(p)
+    ineqs = [(i, j, k) for i, j, k, _ in inequalities(p)]
     rays = edges.rays
     for a in range(len(rays)):
         for b in range(a, len(rays)):
@@ -150,7 +150,7 @@ def test_small_star_points_lie_in_ray_span(p):
     # The rays are complete: every star point is a nonnegative combination
     # of them, and no point outside the star inequalities is one.
     edges = edges_of_cone_star(p)
-    ineqs = star_inequalities(p)
+    ineqs = [(i, j, k) for i, j, k, _ in inequalities(p)]
     outside = 0
     for x in product(range(5), repeat=p - 1):
         in_span = oracles.ray_span_contains(edges.rays, x)
@@ -164,7 +164,7 @@ def test_star_cone_contained_in_cone():
     # the homogeneous system is tighter than the affine one
     for p in (3, 4, 5):
         cone = build_cone(p)
-        ineqs = star_inequalities(p)
+        ineqs = [(i, j, k) for i, j, k, _ in inequalities(p)]
         for x in product(range(4), repeat=p - 1):
             if all(_star_value(p, x, ineq) >= 0 for ineq in ineqs):
                 assert cone.contains(x)

@@ -1,3 +1,7 @@
+import re
+from fractions import Fraction
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,6 +111,52 @@ def test_semigroup_validates_mu():
         Semigroup(3, (1, -1))
     with pytest.raises(ValueError):
         Semigroup(3, (1, 1, 1))
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6, 7])
+def test_semigroup_validates_every_small_mu(p):
+    # mu is a semigroup exactly when its gaps {i + m p : m < mu_i} are a
+    # gap set, checked on the gaps alone; Semigroup reads the cone's
+    # 1-based inequalities over (0, mu_1, ..., mu_{p-1})
+    for mu in product(range(4), repeat=p - 1):
+        gaps = {i + m * p for i, count in enumerate(mu, start=1) for m in range(count)}
+        try:
+            Semigroup(p, mu)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == oracles.is_gapset_of_semigroup(gaps), mu
+
+
+@pytest.mark.parametrize("mu", [(1.5, 0), (1, 0.0), (Fraction(1), 0), ("1", 0)])
+def test_semigroup_refuses_non_integral_mu(mu):
+    with pytest.raises(TypeError, match=re.escape(repr(next(m for m in mu if type(m) is not int)))):
+        Semigroup(3, mu)
+
+
+@pytest.mark.parametrize("p", [3.0, Fraction(3), "3"])
+def test_semigroup_refuses_non_integral_p(p):
+    with pytest.raises(TypeError, match=re.escape(repr(p))):
+        Semigroup(p, (1, 0))
+    with pytest.raises(TypeError, match=re.escape(repr(p))):
+        from_generators({3, 7}, p)
+
+
+@pytest.mark.parametrize("gens", [{3.7, 7}, {3, Fraction(7)}, {3, "7"}])
+def test_from_generators_refuses_non_integral_generators(gens):
+    bad = next(g for g in gens if type(g) is not int)
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        from_generators(gens, 3)
+
+
+def test_integer_types_still_pass():
+    numpy = pytest.importorskip("numpy")
+    s = Semigroup(numpy.int64(3), (True, numpy.int32(0)))
+    assert s == Semigroup(3, (1, 0)) and repr(s) == "Semigroup(p=3, mu=(1, 0))"
+    assert type(s.p) is int and all(type(m) is int for m in s.mu)
+    assert from_generators({numpy.int64(3), numpy.int16(7)}, numpy.int8(3)).mu == (2, 4)
+    assert from_generators({True, 7}, 3).mu == (0, 0)
 
 
 @pytest.mark.parametrize("p", [3, 4, 5])

@@ -495,6 +495,21 @@ def test_enumerate_walks_each_class_directly(p):
             assert rows == [by_definition[s.mu] for s in listed]
 
 
+@pytest.mark.parametrize("p", [12, 17, 24, 40])
+def test_genus_listings_past_p8(p):
+    # For p >= 2g every semigroup of genus g holds p, so the slices have
+    # OEIS A007323's sizes; the section walk files its x_n rows over many
+    # levels only at large p
+    sizes = []
+    for g in range(6):
+        points = list(oracles.dfs_iter_points(p, (g,) * (p - 1), target=g))
+        assert list(counting.genus_points(p, g)) == points
+        rows = list(cli._enumerate_rows(p, [g], "all"))
+        assert rows == [_row_by_definition(p, mu) for mu in points]
+        sizes.append(len(points))
+    assert sizes == [1, 1, 2, 4, 7, 12]
+
+
 @given(walks(), st.sampled_from(("sym", "psym")))
 @settings(max_examples=150, deadline=None)
 def test_locus_walk_matches_class_filter(walk, cls):
